@@ -10,8 +10,7 @@ composition convention is shared by every module that consumes braid words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -162,20 +161,12 @@ class BraidWord:
         return braid_text(self)
 
 
-def identity_braid(n: int) -> BraidWord:
-    return BraidWord(n, ())
-
-
 def torus_braid(p: int, q: int) -> BraidWord:
     """The standard braid (sigma_1...sigma_{q-1})^p of T(p,q) on q strands."""
     if q < 1 or p < 1:
         raise ValueError("torus parameters must be positive")
     run = tuple(range(1, q))
     return BraidWord(q, run * p)
-
-
-def torus_component_count(p: int, q: int) -> int:
-    return gcd(p, q)
 
 
 def braid_text(w: BraidWord) -> str:
@@ -203,13 +194,3 @@ def parse_braid_text(text: str) -> BraidWord:
     except ValueError:
         raise ValueError(f"bad letter list in {tail!r}") from None
     return BraidWord(n, letters)
-
-
-def concat_all(words: Iterable[BraidWord]) -> BraidWord:
-    words = list(words)
-    if not words:
-        raise ValueError("nothing to concatenate")
-    out = words[0]
-    for w in words[1:]:
-        out = out.concat(w)
-    return out

@@ -286,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            parser.error(f"--jobs must be at least 1, got {args.jobs}")
+        if getattr(args, "jones_guard", 0) < 0:
+            parser.error(f"--jones-guard must be at least 0, got {args.jones_guard}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

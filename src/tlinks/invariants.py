@@ -15,12 +15,12 @@ Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
 t^(k/4)), which keeps links with half-integer powers exact.
 
-Long positive words take a fast exact path: the Burau product is evaluated
-at t = 2^K (a ring homomorphism into the integers), the determinant is then
-a single integer computed fraction-free, and the coefficients are recovered
-as balanced base-2^K digits.  K is chosen from a rigorous Hadamard-style
-bound on the determinant's coefficient size, tracked alongside the product,
-so the recovery is exact, never heuristic.
+Every word, positive or signed, takes the same exact path to Alexander: the
+Burau product is formed by column updates on integers packed at t = 2^K,
+unpacked, and the determinant of the product minus the identity is one integer
+determinant at a second digit width.  Both widths come from proved bounds
+on coefficient size (see reduced_burau and laurent.determinant), so the
+recovery of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from functools import lru_cache
 
 from .braid import BraidWord, torus_braid
 from .garside import braid_index_by_full_twist
-from .laurent import LaurentPoly, PolyMatrix, determinant
+from .laurent import LaurentPoly, PolyMatrix, determinant, unpack
 
 DEFAULT_JONES_GUARD = 24
-
-_KRONECKER_MIN_LETTERS = 30
 
 
 @dataclass(frozen=True)
@@ -49,178 +47,56 @@ class InvariantBundle:
     jones: LaurentPoly | None
 
 
-# -- reduced Burau representation ---------------------------------------------
-
-
-def _burau_generator(n: int, letter: int) -> PolyMatrix:
-    """Reduced Burau matrix of sigma_letter (or its inverse) in B_n."""
-    m = n - 1
-    i = abs(letter)
-    t = LaurentPoly.t()
-    neg_t = LaurentPoly.term(-1, 1)
-    t_inv = LaurentPoly.t(-1)
-    neg_t_inv = LaurentPoly.term(-1, -1)
-    one = LaurentPoly.one()
-    rows = [[LaurentPoly.one() if a == b else LaurentPoly.zero() for b in range(m)] for a in range(m)]
-
-    def put(block: list[list[LaurentPoly]], at: int) -> None:
-        for a, row in enumerate(block):
-            for b, entry in enumerate(row):
-                rows[at + a][at + b] = entry
-
-    if letter > 0:
-        if n == 2:
-            put([[neg_t]], 0)
-        elif i == 1:
-            put([[neg_t, LaurentPoly.zero()], [one, one]], 0)
-        elif i == n - 1:
-            put([[one, t], [LaurentPoly.zero(), neg_t]], i - 2)
-        else:
-            put(
-                [
-                    [one, t, LaurentPoly.zero()],
-                    [LaurentPoly.zero(), neg_t, LaurentPoly.zero()],
-                    [LaurentPoly.zero(), one, one],
-                ],
-                i - 2,
-            )
-    else:
-        if n == 2:
-            put([[neg_t_inv]], 0)
-        elif i == 1:
-            put([[neg_t_inv, LaurentPoly.zero()], [t_inv, one]], 0)
-        elif i == n - 1:
-            put([[one, one], [LaurentPoly.zero(), neg_t_inv]], i - 2)
-        else:
-            put(
-                [
-                    [one, one, LaurentPoly.zero()],
-                    [LaurentPoly.zero(), neg_t_inv, LaurentPoly.zero()],
-                    [LaurentPoly.zero(), t_inv, one],
-                ],
-                i - 2,
-            )
-    return PolyMatrix.from_rows(rows)
+# -- reduced Burau representation and Alexander polynomial ---------------------
 
 
 def reduced_burau(w: BraidWord) -> PolyMatrix:
-    """Product of the (n-1)x(n-1) generator matrices, letters left to right."""
+    """Product of the (n-1)x(n-1) generator matrices, letters left to right.
+
+    Right multiplication by the matrix of sigma_i changes only column
+    c = i - 1, to t*col[c-1] - t*col[c] + col[c+1], where a neighbour outside
+    the matrix counts as zero.  The matrix of sigma_i^-1 has entries t^-1, so
+    an inverse letter is applied as t*sigma_i^-1 instead: column c becomes
+    t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t.
+    The running product is then t^neg times the true one, neg the number of
+    inverse letters so far, and all its entries are polynomials.  They are
+    held as integers packed at t = 2^K (see laurent.unpack), on which
+    multiplying by t is a shift by K bits.
+
+    Digit width.  Alongside the product, norms[c][r] tracks a bound on the l1
+    norm of entry (r, c), starting from the identity.  Each update adds three
+    neighbours with monomial multipliers of coefficient +-1, so by the
+    triangle inequality the new entry's norm is at most the sum of theirs;
+    multiplying by t keeps a norm.  The recurrence is the same for both signs,
+    so every coefficient of every final entry is at most the largest tracked
+    norm B, and K = bit_length(B) + 1 unpacks each entry exactly.
+    """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
-    out = PolyMatrix.identity(w.strands - 1)
+    m = w.strands - 1
+    zero = [0] * m
+    norms = [[int(r == c) for r in range(m)] for c in range(m)]
     for letter in w.letters:
-        out = out * _burau_generator(w.strands, letter)
-    return out
+        c = abs(letter) - 1
+        left = norms[c - 1] if c else zero
+        right = norms[c + 1] if c + 1 < m else zero
+        norms[c] = [a + b + d for a, b, d in zip(left, norms[c], right)]
+    k = max(map(max, norms)).bit_length() + 1
 
-
-def _burau_det_minus_identity(w: BraidWord) -> LaurentPoly:
-    m = reduced_burau(w) - PolyMatrix.identity(w.strands - 1)
-    return determinant(m)
-
-
-# -- fast path: Kronecker-evaluated Burau determinant --------------------------
-
-
-def _int_determinant(rows: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _balanced_digits(value: int, k: int) -> dict[int, int]:
-    """Coefficients of the unique polynomial with |c| < 2^(k-1) hitting value at 2^k."""
-    base = 1 << k
-    half = base >> 1
-    coeffs: dict[int, int] = {}
-    exp = 0
-    while value:
-        d = value & (base - 1)
-        if d >= half:
-            d -= base
-        if d:
-            coeffs[exp] = d
-        value = (value - d) >> k
-        exp += 1
-    return coeffs
-
-
-def _kronecker_burau_det(w: BraidWord) -> LaurentPoly:
-    """det(rho(w) - I) for a positive word, via evaluation at t = 2^K.
-
-    Alongside the product we track an entrywise bound on the coefficient
-    l1-norms (the generator matrices, with coefficients replaced by absolute
-    values and evaluated at t = 1, are all unipotent, so the bound grows
-    polynomially).  The product over rows of the row sums bounds every
-    coefficient of the determinant, which makes the digit recovery exact.
-    """
-    n = w.strands
-    m = n - 1
-
-    norms = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    cols = [[int(r == c) for r in range(m)] for c in range(m)]
+    neg = 0
     for letter in w.letters:
-        i = letter
-        if n == 2:
-            continue  # |(-t)| at t=1 keeps norms unchanged
-        if i == 1:
-            for r in range(m):
-                norms[r][0] = norms[r][0] + norms[r][1]
-        elif i == n - 1:
-            for r in range(m):
-                norms[r][m - 1] = norms[r][m - 2] + norms[r][m - 1]
+        c = abs(letter) - 1
+        left = cols[c - 1] if c else zero
+        right = cols[c + 1] if c + 1 < m else zero
+        if letter > 0:
+            cols[c] = [((a - b) << k) + d for a, b, d in zip(left, cols[c], right)]
         else:
-            c = i - 1
-            for r in range(m):
-                norms[r][c] = norms[r][c - 1] + norms[r][c] + norms[r][c + 1]
-
-    bound = 1
-    for r in range(m):
-        bound *= sum(norms[r]) + 1
-    k = bound.bit_length() + 2
-    t = 1 << k
-
-    mat = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for letter in w.letters:
-        i = letter
-        if n == 2:
-            for r in range(m):
-                mat[r][0] = -(mat[r][0] << k)
-        elif i == 1:
-            for r in range(m):
-                mat[r][0] = -(mat[r][0] << k) + mat[r][1]
-        elif i == n - 1:
-            for r in range(m):
-                mat[r][m - 1] = (mat[r][m - 2] << k) - (mat[r][m - 1] << k)
-        else:
-            c = i - 1
-            for r in range(m):
-                mat[r][c] = (mat[r][c - 1] << k) - (mat[r][c] << k) + mat[r][c + 1]
-
-    for d in range(m):
-        mat[d][d] -= 1
-    det_value = _int_determinant(mat)
-    return LaurentPoly(_balanced_digits(det_value, k))
-
-
-# -- Alexander polynomial ------------------------------------------------------
+            col = [(a << k) - b + d for a, b, d in zip(left, cols[c], right)]
+            cols = [[x << k for x in other] for other in cols]
+            cols[c] = col
+            neg += 1
+    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +109,7 @@ def alexander(w: BraidWord) -> LaurentPoly:
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
-    if w.is_positive and len(w.letters) >= _KRONECKER_MIN_LETTERS:
-        det = _kronecker_burau_det(w)
-    else:
-        det = _burau_det_minus_identity(w)
+    det = determinant(reduced_burau(w) - PolyMatrix.identity(n - 1))
     if det.is_zero:
         return LaurentPoly.zero()
     strand_sum = LaurentPoly({e: 1 for e in range(n)})

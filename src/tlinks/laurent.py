@@ -3,14 +3,20 @@
 Coefficients are arbitrary-precision Python ints and the representation is a
 sparse map from exponent to nonzero coefficient, so polynomial equality is
 exact and cheap.  This is the coefficient ring for Burau matrices and
-Kauffman bracket sums; determinants of matrices over this ring are computed
-fraction-free.
+Kauffman bracket sums.
+
+This module also owns the packed form of a polynomial: its value at
+t = 2^k, an integer from which the coefficients come back exactly as
+balanced base-2^k digits when k exceeds their bit length.  Determinants of
+polynomial matrices are computed in that form, as one fraction-free integer
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping
 
 
@@ -281,31 +287,89 @@ class PolyMatrix:
         )
 
 
-def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+# -- packed integers -----------------------------------------------------------
+#
+# A polynomial sum(c_e * t^e) with e >= low is packed as the integer
+# sum(c_e * 2^(k*(e - low))), its value at t = 2^k after a shift by t^-low.
+# Evaluation at 2^k is a ring homomorphism Z[t] -> Z, so sums, products and
+# determinants of packed entries are the packed sums, products and
+# determinants, and multiplying a packed polynomial by t is a shift by k bits.
 
-    All intermediate divisions are exact over the Laurent ring, so the result
-    carries no rounding or denominator bookkeeping.
+
+def unpack(value: int, k: int, low: int) -> LaurentPoly:
+    """The polynomial whose packed form at t = 2^k, counted from t^low, is value.
+
+    Its coefficients are the balanced base-2^k digits of value, each in
+    [-2^(k-1), 2^(k-1)).  Recovery is exact whenever every coefficient c of
+    the packed polynomial has |c| < 2^(k-1): the lowest coefficient is then
+    the one residue of value modulo 2^k in that range, and value minus it,
+    divided by 2^k, packs the remaining terms.  A coefficient bound B meets
+    this with k >= bit_length(B) + 1, since |c| <= B < 2^bit_length(B).
+    The loop ends for k >= 2, or for value 0.
     """
-    n = m.size
+    base = 1 << k
+    half = base >> 1
+    coeffs: dict[int, int] = {}
+    exp = low
+    while value:
+        d = value & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            coeffs[exp] = d
+        value = (value - d) >> k
+        exp += 1
+    return LaurentPoly(coeffs)
+
+
+def _int_determinant(rows: list[list[int]]) -> int:
+    """Fraction-free integer determinant (Bareiss); every division is exact."""
+    n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
-    a = [list(row) for row in m.entries]
+        return 1
+    a = [row[:] for row in rows]
     sign = 1
-    prev = LaurentPoly.one()
+    prev = 1
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot_row is None:
-                return LaurentPoly.zero()
+                return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot = a[k][k]
         for i in range(k + 1, n):
+            aik = a[i][k]
             for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev)
-            a[i][k] = LaurentPoly.zero()
+                a[i][j] = (pivot * a[i][j] - aik * a[k][j]) // prev
+            a[i][k] = 0
         prev = pivot
-    det = a[n - 1][n - 1]
-    return det.scaled(sign)
+    return sign * a[n - 1][n - 1]
+
+
+def determinant(m: PolyMatrix) -> LaurentPoly:
+    """Exact determinant, as one integer determinant at t = 2^k.
+
+    Row i is multiplied by t^-low_i, low_i its lowest exponent, so that every
+    entry is a polynomial; the determinant is t^(sum low_i) times that of the
+    shifted matrix, which is packed at t = 2^k, reduced by integer Bareiss
+    and unpacked.
+
+    Digit width.  Let N_ij be the l1 norm (sum of absolute coefficients) of
+    entry (i, j); shifting a row leaves it unchanged.  The l1 norm is
+    subadditive and submultiplicative, so the Leibniz expansion
+    det = sum_s sgn(s) prod_i a_{i,s(i)} gives, for every coefficient c of
+    the determinant, |c| <= ||det||_1 <= perm(N) <= prod_i sum_j N_ij = B;
+    the last step holds because expanding the product of the row sums yields
+    every permutation term of perm(N) plus further nonnegative terms.  Hence
+    k = bit_length(B) + 1 recovers the coefficients exactly (see unpack).  A
+    zero row gives B = 0 and a zero integer determinant.
+    """
+    lows = [min((e for p in row for e in p._coeffs), default=0) for row in m.entries]
+    bound = prod(sum(abs(c) for p in row for c in p._coeffs.values()) for row in m.entries)
+    k = bound.bit_length() + 1
+    packed = [
+        [sum(c << k * (e - low) for e, c in p._coeffs.items()) for p in row]
+        for row, low in zip(m.entries, lows)
+    ]
+    return unpack(_int_determinant(packed), k, sum(lows))

@@ -3,18 +3,20 @@
 Each oracle recomputes a quantity along a path disjoint from the library
 engine it checks: the Kauffman bracket by plain 2^crossings enumeration with
 union-find loop counting, the torus-knot Alexander polynomial by exact
-division of the closed-form quotient, braid-word equivalence by closing the
-word under commutation and braid relations, and torus candidate parameters
-by direct integer enumeration.
+division of the closed-form quotient, the reduced Burau matrix as a product
+of generator matrices over Laurent polynomials, determinants by Leibniz
+expansion, braid-word equivalence by closing the word under commutation and
+braid relations, and torus candidate parameters by direct integer
+enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from tlinks.braid import BraidWord
-from tlinks.laurent import LaurentPoly
+from tlinks.laurent import LaurentPoly, PolyMatrix
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
 
@@ -64,6 +66,39 @@ def brute_jones(w: BraidWord) -> LaurentPoly:
     if writhe % 2:
         f = f.scaled(-1)
     return LaurentPoly({-e: c for e, c in f.terms()})
+
+
+def burau_product(w: BraidWord) -> PolyMatrix:
+    """Reduced Burau matrix as a product of generator matrices.
+
+    The matrix of sigma_i is the identity except in column c = i - 1, which
+    holds (t, -t, 1) for sigma_i and (1, -t^-1, t^-1) for its inverse in rows
+    c-1, c and c+1, clipped to the (n-1)x(n-1) matrix."""
+    m = w.strands - 1
+    out = PolyMatrix.identity(m)
+    for letter in w.letters:
+        c = abs(letter) - 1
+        t = LaurentPoly.t(1 if letter > 0 else -1)
+        column = (t, -t, LaurentPoly.one()) if letter > 0 else (LaurentPoly.one(), -t, t)
+        rows = [list(row) for row in PolyMatrix.identity(m).entries]
+        for r, entry in zip((c - 1, c, c + 1), column):
+            if 0 <= r < m:
+                rows[r][c] = entry
+        out = out * PolyMatrix.from_rows(rows)
+    return out
+
+
+def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
+    """sum over permutations s of sgn(s) prod_i m[i][s(i)]; meant for size <= 5."""
+    n = m.size
+    total = LaurentPoly.zero()
+    for perm in permutations(range(n)):
+        term = LaurentPoly.one()
+        for i, j in enumerate(perm):
+            term = term * m.entries[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total + term.scaled(-1 if inversions % 2 else 1)
+    return total
 
 
 def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:

@@ -109,3 +109,18 @@ def test_exit_codes_are_reserved():
     assert EXIT_OK == 0
     assert EXIT_USAGE == 1
     assert EXIT_CONTRADICTION == 2
+
+
+
+
+def test_out_of_range_counts_rejected_before_work(capsys):
+    for *argv, flag, value in [
+        ("sweep", "--max-p", "5", "--jobs", "0"),
+        ("sweep", "--max-p", "5", "--jones-guard", "-1"),
+        ("invariants", "T((2,3))", "--jones-guard", "-5"),
+    ]:
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{flag} must be at least" in err
+    _, out, _ = run(capsys, "invariants", "T((2,3))", "--jones-guard", "0")
+    assert "crossing guard exceeded" in out

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_jones, torus_alexander_closed_form
+from _oracles import brute_jones, burau_product, leibniz_determinant, torus_alexander_closed_form
 from tlinks.braid import BraidWord, torus_braid
 from tlinks.invariants import (
-    _burau_det_minus_identity,
-    _kronecker_burau_det,
     alexander,
     bundle,
     euler_char,
@@ -16,7 +14,7 @@ from tlinks.invariants import (
     reduced_burau,
     torus_reference,
 )
-from tlinks.laurent import LaurentPoly, PolyMatrix
+from tlinks.laurent import LaurentPoly, PolyMatrix, determinant
 from tlinks.tlink import FullTwistForm, absorb_strands
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -73,14 +71,18 @@ def test_alexander_at_one_is_a_unit_for_knots():
         assert abs(alexander(w).evaluate(1)) == 1
 
 
-def test_kronecker_path_matches_generic_path():
+def test_packed_burau_matches_generator_product():
     random.seed(20240209)
-    for _ in range(25):
-        n = random.randint(2, 6)
-        length = random.randint(30, 50)
-        letters = tuple(random.randint(1, n - 1) for _ in range(length))
-        w = BraidWord(n, letters)
-        assert _kronecker_burau_det(w) == _burau_det_minus_identity(w)
+    for signs in ((1,), (1, -1)):
+        for _ in range(15):
+            n = random.randint(2, 6)
+            length = random.randint(0, 120)
+            letters = tuple(random.choice(signs) * random.randint(1, n - 1) for _ in range(length))
+            w = BraidWord(n, letters)
+            burau = reduced_burau(w)
+            assert burau == burau_product(w)
+            minus_identity = burau - PolyMatrix.identity(n - 1)
+            assert determinant(minus_identity) == leibniz_determinant(minus_identity)
 
 
 def test_jones_examples():

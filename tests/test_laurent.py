@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import leibniz_determinant
 from tlinks.laurent import LaurentPoly, PolyMatrix, determinant, poly_text
 
 T = LaurentPoly.t
@@ -47,6 +48,27 @@ def test_determinant_singular_and_pivoting():
     assert determinant(z) == ZERO
     swapped = PolyMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])
     assert determinant(swapped) == P({0: -1})
+
+
+def test_determinant_matches_leibniz_oracle():
+    big = 1 << 100
+    cases = [
+        # negative exponents
+        [[T(-3), P({-1: 2, 2: -1})], [P({-5: 1, 0: 4}), T(4)]],
+        # a zero row
+        [[ONE, T(1), T(-2)], [ZERO, ZERO, ZERO], [T(2), ONE, T(-1)]],
+        # zero pivots force row swaps, the second one only after elimination
+        [[ZERO, T(1), ONE], [T(-1), ZERO, P({0: 3})], [ONE, T(2), ZERO]],
+        [[ONE, ONE, T(1)], [ONE, ONE, T(2)], [T(1), ONE, ONE]],
+        # coefficients of 2^100 and more, with products reaching 2^300
+        [[P({0: big, 3: -big}), P({1: big + 1})], [P({-2: -big}), P({0: big * big, 1: 7})]],
+        [[P({0: big, 1: big}), P({0: big})], [P({0: -big}), P({0: big, 1: -big})]],
+        # the digit-width bound attained: det = 2^200 = product of the row norms
+        [[P({0: big}), ZERO], [ZERO, P({0: big})]],
+    ]
+    for rows in cases:
+        m = PolyMatrix.from_rows(rows)
+        assert determinant(m) == leibniz_determinant(m)
 
 
 def test_normalize_unit_examples():
