@@ -12,7 +12,8 @@ sweep       cross-validate classifier against oracle over a parameter range,
 Inputs are either T-link expressions `T((r1,s1),(r2,s2),...)` or braid words
 `n=K: e1,e2,...`.  Exit status 1 flags usage or parse errors; status 2 is
 reserved for a classifier/oracle contradiction, which would falsify the
-theorem the classifier implements.
+theorem the classifier implements; status 3 flags an internal fault, such as
+an exact polynomial division leaving a remainder.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any
 from .braid import BraidWord, braid_text, parse_braid_text
 from .classify import classify_spec
 from .invariants import DEFAULT_JONES_GUARD, InvariantBundle, bundle
-from .laurent import poly_text
+from .laurent import InexactDivisionError, poly_text
 from .oracle import Certificate, SweepReport, certify, cross_validate
 from .tlink import (
     TLinkParseError,
@@ -40,6 +41,7 @@ from .tlink import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRADICTION = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -294,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except InexactDivisionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TLinkParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

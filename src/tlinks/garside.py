@@ -10,26 +10,23 @@ makes "contains a full twist" decidable as infimum >= 2.  The full-twist test
 feeds the braid-index criterion for positive braids: an n-strand positive
 braid containing Delta^2 has braid index exactly n.
 
-Internally permutations are 0-based tuples p with p[i] = image of position i,
-composed in diagram order (left word acts first).
+The form is built incrementally (El-Rifai & Morton 1994, "Algorithms for
+positive braids"; Epstein et al., *Word Processing in Groups*, ch. 9): the
+word is split greedily into permutation braids and the form is multiplied on
+the right by one of them at a time, with one right-to-left pass.
+
+Internally permutations are 0-based image lists p with p[i] = image of
+position i, composed in diagram order (left word acts first), each kept with
+its inverse list so that moving one generator costs O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .braid import BraidWord, Permutation
 
 Perm0 = tuple[int, ...]
-
-
-def _identity(n: int) -> Perm0:
-    return tuple(range(n))
-
-
-def _delta_perm(n: int) -> Perm0:
-    return tuple(range(n - 1, -1, -1))
 
 
 def _inverse(p: Perm0) -> Perm0:
@@ -50,43 +47,46 @@ def _right_descents(p: Perm0) -> set[int]:
     return {g for g in range(1, len(p)) if inv[g - 1] > inv[g]}
 
 
-def _apply_right(p: Perm0, g: int) -> Perm0:
-    """p * sigma_g: exchange the values g-1 and g."""
-    inv = _inverse(p)
-    out = list(p)
-    out[inv[g - 1]] = g
-    out[inv[g]] = g - 1
-    return tuple(out)
+def _times(p: list[int], inv: list[int], g: int) -> None:
+    """p <- p * sigma_g in place: exchange the values g-1 and g (and their inverse entries)."""
+    x, y = inv[g - 1], inv[g]
+    p[x], p[y] = g, g - 1
+    inv[g - 1], inv[g] = y, x
 
 
-def _apply_left(p: Perm0, g: int) -> Perm0:
-    """sigma_g * p: exchange the entries at positions g-1 and g."""
-    out = list(p)
-    out[g - 1], out[g] = out[g], out[g - 1]
-    return tuple(out)
+def _left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
+    """Left-weight the pair (a, b) in place; True when a grew.
 
-
-def _fix_pair(a: Perm0, b: Perm0) -> tuple[Perm0, Perm0, bool]:
-    """Slide head letters of b into a until the pair is left-weighted."""
-    changed = False
-    while True:
-        moves = _left_descents(b) - _right_descents(a)
-        if not moves:
-            return a, b, changed
-        g = min(moves)
-        a = _apply_right(a, g)
-        b = _apply_left(b, g)
-        changed = True
+    While some g is in the starting set of b and not in the finishing set of
+    a, sigma_g slides from the head of b onto the tail of a: a <- a * sigma_g
+    and b <- sigma_g^-1 * b.  A move at
+    g changes only the descents at g-1, g and g+1, so the scan steps back one
+    place after each move.
+    """
+    n = len(a)
+    grew = False
+    g = 1
+    while g < n:
+        u, v = b[g - 1], b[g]
+        if u > v and ai[g - 1] < ai[g]:
+            _times(a, ai, g)
+            b[g - 1], b[g] = v, u
+            bi[u], bi[v] = g, g - 1
+            grew = True
+            if g > 1:
+                g -= 1
+        else:
+            g += 1
+    return grew
 
 
 def _perm_to_letters(p: Perm0) -> tuple[int, ...]:
-    letters = []
-    p = tuple(p)
-    ident = _identity(len(p))
-    while p != ident:
-        g = min(g for g in range(1, len(p)) if p[g - 1] > p[g])
+    """A positive word for p: strip the least left descent sigma_g until p is the identity."""
+    p, letters = list(p), []
+    while descents := _left_descents(p):
+        g = min(descents)
         letters.append(g)
-        p = _apply_left(p, g)
+        p[g - 1], p[g] = p[g], p[g - 1]
     return tuple(letters)
 
 
@@ -133,14 +133,19 @@ def delta_word(n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-@lru_cache(maxsize=None)
 def normal_form(w: BraidWord) -> NormalForm:
     """Left-weighted normal form of a positive word.
 
-    Builds permutation-braid factors greedily (merging while the product
-    stays a permutation braid), then runs left-weighting passes over adjacent
-    pairs until a fixpoint.  Local left-weightedness of every adjacent pair
-    is exactly the normal-form condition, so the fixpoint is canonical.
+    The letters are split greedily into permutation braids: sigma_g joins the
+    last factor while g is not in its finishing set.  Each finished factor B
+    multiplies the normal form A_1 ... A_k on the right: B is appended, then
+    the pairs (A_k, B), (A_{k-1}, A_k'), ... are left-weighted from right to
+    left.  Left-weighting a pair moves letters from the head of its right
+    factor onto its left factor, and by the domino rule for greedy normal
+    forms the pair to its right, left-weighted one step earlier, stays so.
+    When a left factor does not grow, the pairs to its left are those of the
+    old normal form, so every adjacent pair is left-weighted and the pass
+    stops.  Only trailing factors can be absorbed completely; they are dropped.
     """
     if not w.is_positive:
         raise ValueError("normal form is defined here for positive words only")
@@ -148,30 +153,33 @@ def normal_form(w: BraidWord) -> NormalForm:
     if n == 1 or not w.letters:
         return NormalForm(n, 0, ())
 
-    factors: list[Perm0] = []
+    ident = list(range(n))
+    perms: list[list[int]] = []
+    invs: list[list[int]] = []
+
+    def push(p: list[int], inv: list[int]) -> None:
+        perms.append(p)
+        invs.append(inv)
+        for i in range(len(perms) - 2, -1, -1):
+            if not _left_weight(perms[i], invs[i], perms[i + 1], invs[i + 1]):
+                break
+        while perms[-1] == ident:
+            perms.pop()
+            invs.pop()
+
+    p, inv = ident[:], ident[:]
     for g in w.letters:
-        if factors and g not in _right_descents(factors[-1]):
-            factors[-1] = _apply_right(factors[-1], g)
-        else:
-            factors.append(_apply_left(_identity(n), g))
+        if inv[g - 1] > inv[g]:
+            push(p, inv)
+            p, inv = ident[:], ident[:]
+        _times(p, inv, g)
+    push(p, inv)
 
-    ident = _identity(n)
-    while True:
-        factors = [f for f in factors if f != ident]
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b, ch = _fix_pair(factors[i], factors[i + 1])
-            if ch:
-                factors[i], factors[i + 1] = a, b
-                changed = True
-        if not changed:
-            break
-
-    delta = _delta_perm(n)
+    delta = ident[::-1]
     inf = 0
-    while inf < len(factors) and factors[inf] == delta:
+    while inf < len(perms) and perms[inf] == delta:
         inf += 1
-    tail = tuple(Permutation(tuple(i + 1 for i in f)) for f in factors[inf:])
+    tail = tuple(Permutation(tuple(i + 1 for i in f)) for f in perms[inf:])
     return NormalForm(n, inf, tail)
 
 

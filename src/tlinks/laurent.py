@@ -20,6 +20,10 @@ from math import prod
 from typing import Iterable, Mapping
 
 
+class InexactDivisionError(ValueError):
+    """A division that had to be exact left a remainder; the CLI reports an internal error."""
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(c_k * t^k) with integer coefficients.
 
@@ -132,31 +136,31 @@ class LaurentPoly:
         return LaurentPoly({e: c * factor for e, c in self._coeffs.items()})
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / divisor; raises ValueError if not divisible."""
+        """Exact quotient self / divisor; raises InexactDivisionError if not divisible.
+
+        Schoolbook division from the top on dense coefficient lists, both
+        operands shifted to lowest exponent 0.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero()
-        shift = self.min_exp - divisor.min_exp
-        rem = {e - self.min_exp: c for e, c in self._coeffs.items()}
-        den = {e - divisor.min_exp: c for e, c in divisor._coeffs.items()}
-        dmax = max(den)
-        dlead = den[dmax]
-        quot: dict[int, int] = {}
-        while rem:
-            rmax = max(rem)
-            if rmax < dmax or rem[rmax] % dlead != 0:
-                raise ValueError("polynomial division is not exact")
-            q = rem[rmax] // dlead
-            pos = rmax - dmax
-            quot[pos] = q
-            for e, c in den.items():
-                s = rem.get(e + pos, 0) - q * c
-                if s:
-                    rem[e + pos] = s
-                else:
-                    rem.pop(e + pos, None)
-        return LaurentPoly({e + shift: c for e, c in quot.items()})
+        lo, dlo = self.min_exp, divisor.min_exp
+        rem = [self._coeffs.get(e, 0) for e in range(lo, self.max_exp + 1)]
+        den = [divisor._coeffs.get(e, 0) for e in range(dlo, divisor.max_exp + 1)]
+        top = len(den) - 1
+        quot = [0] * (len(rem) - top)
+        for pos in range(len(quot) - 1, -1, -1):
+            q, r = divmod(rem[pos + top], den[top])
+            if r:
+                raise InexactDivisionError("polynomial division is not exact")
+            if q:
+                quot[pos] = q
+                for j, d in enumerate(den):
+                    rem[pos + j] -= q * d
+        if any(rem[:top]):
+            raise InexactDivisionError("polynomial division is not exact")
+        return LaurentPoly({e + lo - dlo: c for e, c in enumerate(quot)})
 
     def unit_normalized(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.

@@ -5,9 +5,10 @@ engine it checks: the Kauffman bracket by plain 2^crossings enumeration with
 union-find loop counting, the torus-knot Alexander polynomial by exact
 division of the closed-form quotient, the reduced Burau matrix as a product
 of generator matrices over Laurent polynomials, determinants by Leibniz
-expansion, braid-word equivalence by closing the word under commutation and
-braid relations, and torus candidate parameters by direct integer
-enumeration.
+expansion, the Garside normal form by left-weighting every adjacent pair
+until nothing changes, braid-word equivalence by closing the word under
+commutation and braid relations, and torus candidate parameters by direct
+integer enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import gcd
 
-from tlinks.braid import BraidWord
+from tlinks.braid import BraidWord, Permutation
+from tlinks.garside import NormalForm
 from tlinks.laurent import LaurentPoly, PolyMatrix
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
@@ -110,6 +112,67 @@ def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:
     quotient = numerator.divide_exact(LaurentPoly.t(p) + minus_one)
     quotient = quotient.divide_exact(LaurentPoly.t(q) + minus_one)
     return quotient.unit_normalized()
+
+
+def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _descents(p: tuple[int, ...]) -> set[int]:
+    return {g for g in range(1, len(p)) if p[g - 1] > p[g]}
+
+
+def _swap_positions(p: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """sigma_g * p on a 0-based image tuple: exchange positions g-1 and g."""
+    out = list(p)
+    out[g - 1], out[g] = out[g], out[g - 1]
+    return tuple(out)
+
+
+def _swap_values(p: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """p * sigma_g on a 0-based image tuple: exchange the values g-1 and g."""
+    return tuple(g if v == g - 1 else g - 1 if v == g else v for v in p)
+
+
+def fixpoint_normal_form(w: BraidWord) -> NormalForm:
+    """Garside normal form by global left-weighting passes to a fixpoint.
+
+    The word is split greedily into permutation braids (0-based image
+    tuples); then every adjacent pair is left-weighted, sliding sigma_g from
+    the head of the right factor onto the left factor while g is a starting
+    generator of the right factor and not a finishing generator of the left,
+    and the passes over all pairs repeat until none changes anything.
+    """
+    n = w.strands
+    if n == 1 or not w.letters:
+        return NormalForm(n, 0, ())
+    ident = tuple(range(n))
+    factors: list[tuple[int, ...]] = []
+    for g in w.letters:
+        if factors and g not in _descents(_perm_inverse(factors[-1])):
+            factors[-1] = _swap_values(factors[-1], g)
+        else:
+            factors.append(_swap_positions(ident, g))
+    changed = True
+    while changed:
+        factors = [f for f in factors if f != ident]
+        changed = False
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            while moves := _descents(b) - _descents(_perm_inverse(a)):
+                g = min(moves)
+                a, b = _swap_values(a, g), _swap_positions(b, g)
+                changed = True
+            factors[i], factors[i + 1] = a, b
+    delta = ident[::-1]
+    inf = 0
+    while inf < len(factors) and factors[inf] == delta:
+        inf += 1
+    tail = tuple(Permutation(tuple(v + 1 for v in f)) for f in factors[inf:])
+    return NormalForm(n, inf, tail)
 
 
 def relation_closure(letters: tuple[int, ...], strands: int) -> frozenset[tuple[int, ...]]:

@@ -1,6 +1,8 @@
 import json
 
-from tlinks.cli import EXIT_CONTRADICTION, EXIT_OK, EXIT_USAGE, main
+from tlinks.cli import EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from tlinks.invariants import alexander
+from tlinks.laurent import InexactDivisionError, LaurentPoly
 
 
 def run(capsys, *argv):
@@ -51,6 +53,18 @@ def test_certify_command(capsys):
     assert code == EXIT_OK
     assert out.splitlines()[0] == "NotTorus"
     assert "T(11,2): braidIndexMismatch" in out
+
+
+def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
+    def inexact(self, divisor):
+        raise InexactDivisionError("polynomial division is not exact")
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", inexact)
+    alexander.cache_clear()  # a cached polynomial would skip the division
+    code, out, err = run(capsys, "invariants", "T((2,5))")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.strip() == "internal error: polynomial division is not exact"
 
 
 def test_certify_rejects_negative(capsys):

@@ -1,10 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import relation_closure
+from _oracles import fixpoint_normal_form, relation_closure
 from tlinks.braid import BraidWord, torus_braid
 from tlinks.garside import (
     braid_index_by_full_twist,
@@ -15,6 +16,8 @@ from tlinks.garside import (
     normal_form,
     starting_set,
 )
+from tlinks.oracle import enumerate_forms
+from tlinks.tlink import standard_braid
 
 
 @st.composite
@@ -127,3 +130,25 @@ def test_word_problem_smoke_n3():
             else:
                 assert nf not in by_class.values()
                 by_class[cls] = nf
+
+
+def test_normal_form_matches_fixpoint_oracle():
+    rng = random.Random(20221)
+    words = []
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 120)))
+        words.append(BraidWord(n, letters))
+    words += [standard_braid(form.spec()) for form in enumerate_forms(7, max_n=2, max_s=2)]
+    for w in words:
+        assert normal_form(w) == fixpoint_normal_form(w), w
+
+
+def test_late_full_twist_reaches_back_through_every_factor():
+    # Delta^2 is central, so s1^3 Delta^2 = Delta^2 s1^3: the twist letters,
+    # which come last, must end up in front of all three s1 factors.
+    for n in range(3, 7):
+        w = BraidWord(n, (1, 1, 1) + tuple(range(1, n)) * n)
+        nf = normal_form(w)
+        assert nf == fixpoint_normal_form(w)
+        assert (nf.infimum, nf.factor_words()) == (2, [(1,), (1,), (1,)])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import leibniz_determinant
-from tlinks.laurent import LaurentPoly, PolyMatrix, determinant, poly_text
+from tlinks.laurent import InexactDivisionError, LaurentPoly, PolyMatrix, determinant, poly_text
 
 T = LaurentPoly.t
 ONE = LaurentPoly.one()
@@ -90,6 +90,18 @@ def test_divide_exact():
         P({1: 1, 0: 1}).divide_exact(P({1: 2}))
     shifted = P({-2: 1, 1: 1})
     assert shifted.divide_exact(T(-2)) == P({0: 1, 3: 1})
+    # negative exponents in both operands: (t^-3 + t^-1)(t^-2 - 3 + 5t) / (t^-2 - 3 + 5t)
+    num = P({-5: 1, -3: -2, -2: 5, -1: -3, 0: 5})
+    assert num.divide_exact(P({-2: 1, 0: -3, 1: 5})) == P({-3: 1, -1: 1})
+    # a divisor whose lead coefficient is not a unit: 2t^2 + 4t + 2 = (2t + 2)(t + 1)
+    assert P({2: 2, 1: 4, 0: 2}).divide_exact(P({1: 2, 0: 2})) == P({1: 1, 0: 1})
+    with pytest.raises(InexactDivisionError):
+        P({2: 3, 0: 1}).divide_exact(P({1: 2, 0: 2}))  # 3 is not divisible by 2
+    # the top terms cancel but a low-order remainder is left: t^3 + t + 1 = (t^2 + 1) t + 1
+    with pytest.raises(InexactDivisionError, match="not exact"):
+        P({3: 1, 1: 1, 0: 1}).divide_exact(P({2: 1, 0: 1}))
+    with pytest.raises(InexactDivisionError):
+        T(1).divide_exact(P({2: 1, 0: 1}))  # divisor of higher degree
 
 
 def test_pow_and_evaluate():
