@@ -179,26 +179,24 @@ def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> N
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-        for row in report_rows(report, include_timings):
+        for r in report.rows:
+            b = r.invariants
             writer.writerow(
                 [
-                    row["input"],
-                    ";".join(f"{a},{b}" for a, b in row["pairs"]),
-                    row["verdict"]["kind"],
-                    row["verdict"]["rule"] or "",
-                    row["certificate"]["kind"],
-                    "|".join(
-                        f"{c['p']}:{c['q']}:{c['reason']}"
-                        for c in row["certificate"]["candidates"]
-                    ),
-                    int(row["certificate"]["guardHit"]),
-                    row["invariants"]["components"],
-                    row["invariants"]["letters"],
-                    row["invariants"]["eulerChar"] if row["invariants"]["eulerChar"] is not None else "",
-                    row["invariants"]["braidIndex"] if row["invariants"]["braidIndex"] is not None else "",
-                    row["invariants"]["alexander"],
-                    row["invariants"]["jones"] or "",
-                    row["timingMs"],
+                    r.text,
+                    ";".join(f"{a},{s}" for a, s in r.spec.pairs),
+                    r.verdict.kind,
+                    r.verdict.rule or "",
+                    r.certificate.kind,
+                    "|".join(f"{c.p}:{c.q}:{c.reason}" for c in r.certificate.candidates),
+                    int(r.certificate.guard_hit),
+                    b.components,
+                    b.letters,
+                    b.euler_char if b.euler_char is not None else "",
+                    b.braid_index if b.braid_index is not None else "",
+                    poly_text(b.alexander),
+                    poly_text(b.jones, quarter_exponents=True) if b.jones is not None else "",
+                    r.timing_ms if include_timings else 0,
                 ]
             )
 

@@ -15,36 +15,27 @@ positive braids"; Epstein et al., *Word Processing in Groups*, ch. 9): the
 word is split greedily into permutation braids and the form is multiplied on
 the right by one of them at a time, with one right-to-left pass.
 
-Internally permutations are 0-based image lists p with p[i] = image of
-position i, composed in diagram order (left word acts first), each kept with
-its inverse list so that moving one generator costs O(1).
+Factors are braid.Permutation values.  Inside normal_form permutations are
+0-based image lists p with p[i] = image of position i, composed in diagram
+order (left word acts first), each kept with its inverse list so that moving
+one generator costs O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .braid import BraidWord, Permutation
 
-Perm0 = tuple[int, ...]
 
+def _descents(images: Sequence[int]) -> set[int]:
+    """Generators g with sigma_g a left divisor of the permutation braid with these images.
 
-def _inverse(p: Perm0) -> Perm0:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _left_descents(p: Perm0) -> set[int]:
-    """Generators g with sigma_g a left divisor of the permutation braid p."""
-    return {g for g in range(1, len(p)) if p[g - 1] > p[g]}
-
-
-def _right_descents(p: Perm0) -> set[int]:
-    """Generators g with sigma_g a right divisor of p."""
-    inv = _inverse(p)
-    return {g for g in range(1, len(p)) if inv[g - 1] > inv[g]}
+    That is the g with images[g-1] > images[g].  Only the order of the images
+    matters, so 0-based and 1-based image lists give the same set.
+    """
+    return {g for g in range(1, len(images)) if images[g - 1] > images[g]}
 
 
 def _times(p: list[int], inv: list[int], g: int) -> None:
@@ -80,10 +71,10 @@ def _left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bo
     return grew
 
 
-def _perm_to_letters(p: Perm0) -> tuple[int, ...]:
-    """A positive word for p: strip the least left descent sigma_g until p is the identity."""
-    p, letters = list(p), []
-    while descents := _left_descents(p):
+def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:
+    """A positive word for a permutation: strip its least left descent until none is left."""
+    p, letters = list(images), []
+    while descents := _descents(p):
         g = min(descents)
         letters.append(g)
         p[g - 1], p[g] = p[g], p[g - 1]
@@ -102,7 +93,7 @@ class NormalForm:
         return len(self.factors)
 
     def factor_words(self) -> list[tuple[int, ...]]:
-        return [_perm_to_letters(tuple(i - 1 for i in f.images)) for f in self.factors]
+        return [_perm_to_letters(f.images) for f in self.factors]
 
     def __str__(self) -> str:
         parts = []
@@ -115,12 +106,12 @@ class NormalForm:
 
 def starting_set(f: Permutation) -> frozenset[int]:
     """Generators that left-divide the permutation braid f."""
-    return frozenset(_left_descents(tuple(i - 1 for i in f.images)))
+    return frozenset(_descents(f.images))
 
 
 def finishing_set(f: Permutation) -> frozenset[int]:
     """Generators that right-divide the permutation braid f."""
-    return frozenset(_right_descents(tuple(i - 1 for i in f.images)))
+    return frozenset(_descents(f.inverse().images))
 
 
 def delta_word(n: int) -> BraidWord:

@@ -62,9 +62,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return sorted(self._coeffs.items())
 
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     @property
     def min_exp(self) -> int:
         if self.is_zero:

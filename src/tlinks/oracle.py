@@ -19,6 +19,7 @@ mismatch, which stands regardless of guard size.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -191,16 +192,10 @@ class SweepReport:
         return [r for r in self.rows if r.contradiction]
 
     def verdict_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.rows:
-            out[r.verdict.kind] = out.get(r.verdict.kind, 0) + 1
-        return out
+        return dict(Counter(r.verdict.kind for r in self.rows))
 
     def certificate_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.rows:
-            out[r.certificate.kind] = out.get(r.certificate.kind, 0) + 1
-        return out
+        return dict(Counter(r.certificate.kind for r in self.rows))
 
 
 def enumerate_forms(

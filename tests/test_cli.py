@@ -1,7 +1,9 @@
+import csv
 import json
 
-from tlinks.cli import EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from tlinks.invariants import alexander
+import pytest
+
+from tlinks.cli import _CSV_FIELDS, EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from tlinks.laurent import InexactDivisionError, LaurentPoly
 
 
@@ -60,7 +62,6 @@ def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
         raise InexactDivisionError("polynomial division is not exact")
 
     monkeypatch.setattr(LaurentPoly, "divide_exact", inexact)
-    alexander.cache_clear()  # a cached polynomial would skip the division
     code, out, err = run(capsys, "invariants", "T((2,5))")
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -108,6 +109,41 @@ def test_sweep_writes_deterministic_reports(tmp_path, capsys):
         "jones",
     }
     assert row["timingMs"] == 0  # suppressed unless --timings is passed
+
+
+def _flatten(row):
+    """A JSON report row as CSV cells, in the order of _CSV_FIELDS."""
+    verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
+    cells = {
+        "input": row["input"],
+        "pairs": ";".join(f"{a},{b}" for a, b in row["pairs"]),
+        "verdict_kind": verdict["kind"],
+        "verdict_rule": verdict["rule"],
+        "certificate_kind": cert["kind"],
+        "candidates": "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
+        "guard_hit": int(cert["guardHit"]),
+        "components": inv["components"],
+        "letters": inv["letters"],
+        "euler_char": inv["eulerChar"],
+        "braid_index": inv["braidIndex"],
+        "alexander": inv["alexander"],
+        "jones": inv["jones"],
+        "timing_ms": row["timingMs"],
+    }
+    return ["" if cells[f] is None else str(cells[f]) for f in _CSV_FIELDS]
+
+
+@pytest.mark.parametrize("timings", [(), ("--timings",)])
+def test_csv_rows_flatten_json_rows(tmp_path, capsys, timings):
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    args = ["sweep", "--max-p", "5", "--max-n", "1", "--out", str(out), "--csv", str(table)]
+    assert run(capsys, *args, *timings)[0] == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    with open(table, newline="", encoding="utf-8") as fh:
+        header, *cells = csv.reader(fh)
+    assert header == _CSV_FIELDS
+    assert len(rows) > 1
+    assert cells == [_flatten(r) for r in rows]
 
 
 def test_sweep_jobs_flag_keeps_output_identical(tmp_path, capsys):

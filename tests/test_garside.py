@@ -1,12 +1,12 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fixpoint_normal_form, relation_closure
-from tlinks.braid import BraidWord, torus_braid
+from _oracles import _descents, _perm_inverse, fixpoint_normal_form, relation_closure
+from tlinks.braid import BraidWord, Permutation, torus_braid
 from tlinks.garside import (
     braid_index_by_full_twist,
     contains_full_twist,
@@ -89,6 +89,13 @@ def test_left_weighted_condition_holds_structurally():
         nf = normal_form(w)
         for a, b in zip(nf.factors, nf.factors[1:]):
             assert starting_set(b) <= finishing_set(a), (w, nf)
+
+
+def test_starting_and_finishing_sets_are_descent_sets():
+    for images in permutations(range(5)):
+        f = Permutation(tuple(i + 1 for i in images))
+        assert starting_set(f) == _descents(images), images
+        assert finishing_set(f) == _descents(_perm_inverse(images)), images
 
 
 @settings(max_examples=80, deadline=None)
