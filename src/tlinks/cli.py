@@ -286,10 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            parser.error(f"--jobs must be at least 1, got {args.jobs}")
-        if getattr(args, "jones_guard", 0) < 0:
-            parser.error(f"--jones-guard must be at least 0, got {args.jones_guard}")
+        # the sweep bounds are the least whose oracle.enumerate_forms grid is not
+        # empty: at p = 3 the only twist index a = 2 equals q = 2
+        least_values = {"jobs": 1, "jones_guard": 0, "max_p": 4, "max_n": 1, "max_s": 1, "max_a": 2}
+        for name, least in least_values.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                parser.error(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

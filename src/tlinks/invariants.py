@@ -8,8 +8,8 @@ Four engines feed one bundle per word:
 * the one-variable Alexander polynomial through the reduced Burau
   representation: det(rho(w) - I) equals, up to a unit +-t^k, the Alexander
   polynomial times (1 + t + ... + t^{n-1});
-* the Jones polynomial through the Kauffman bracket, with a crossing guard
-  because the state sum is exponential in crossings.
+* the Jones polynomial through the Kauffman bracket, one integer packed at
+  t^(1/2) = 2^K per planar-matching bucket, under a crossing guard.
 
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
@@ -18,9 +18,9 @@ t^(k/4)), which keeps links with half-integer powers exact.
 Every word, positive or signed, takes the same exact path to Alexander: the
 Burau product is formed by column updates on integers packed at t = 2^K,
 unpacked, and the determinant of the product minus the identity is one integer
-determinant at a second digit width.  Both widths come from proved bounds
-on coefficient size (see reduced_burau and laurent.determinant), so the
-recovery of coefficients is exact, never heuristic.
+determinant at a second digit width.  These widths and the Jones one come
+from proved bounds on coefficient size (see reduced_burau, laurent.determinant
+and jones), so the recovery of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .braid import BraidWord, torus_braid
 from .garside import braid_index_by_full_twist
 from .laurent import LaurentPoly, PolyMatrix, determinant, unpack
 
+# Cost model of jones: about letters x min(Catalan(strands), 2^letters) bucket
+# updates, each a shift and an add on an integer of at most 2 x letters digits
+# of K = letters + strands + 1 bits.  Words above the guard are not summed.
 DEFAULT_JONES_GUARD = 24
 
 
@@ -123,10 +126,6 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
 # -- Kauffman bracket / Jones --------------------------------------------------
 
-# The loop value -A^2 - A^-2; symmetric under A -> A^-1, so it is also the
-# loop value in quarter powers of t at A = t^(-1/4).
-_DELTA = LaurentPoly({2: -1, -2: -1})
-
 
 def _closure_loops(matching: tuple[int, ...], n: int) -> int:
     loops = 0
@@ -150,55 +149,61 @@ def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
     Exponent k encodes t^(k/4); knots land on multiples of 4.  Absent (None)
     when the word has more crossings than the guard allows.
 
-    V(t) is (-A)^(-3 writhe) times the Kauffman bracket at A = t^(-1/4), so
-    the state sum runs in quarter powers of t directly: A^e is quarter
-    exponent -e.  The vertical smoothing of a crossing of sign s contributes
-    A^s, a shift by -s; the cup-cap smoothing A^-s, a shift by +s; and the
-    normalization is (-1)^writhe times a shift by +3 writhe.
+    V(t) is (-A)^(-3 writhe) times the Kauffman bracket at A = t^(-1/4),
+    summed crossing by crossing over buckets keyed by the planar matching of
+    the n top and n frontier points: at most Catalan(n) of them, and exactly
+    the 2^crossings enumeration.  A crossing of sign s smooths vertically to
+    t^(-s/4) and cup-cap to t^(s/4); if the cup-cap closes a loop, its loop
+    value -(t^(1/2) + t^(-1/2)) merges with the vertical term into -t^(3s/4).
+    Times t^((2-s)/4) these are u^(1-s), u and -u^(1+s) in u = t^(1/2), so
+    each bucket is an integer packed at u = 2^K (see laurent.unpack) and each
+    smoothing a shift by 0, K or 2K bits.  A bucket closing to L loops gets
+    the loop value to the L-1, padded by u^(n-1) to (-1)^(L-1) (1 + u^2)^(L-1)
+    u^(n-L).  The sum is unpacked once; u^e becomes quarter exponent 2e, less
+    the padding 2(n-1) and the offsets 2c - writhe of the c crossings, plus
+    the normalization 3 writhe.
 
-    The sum is evaluated by resolving crossings one at a time and bucketing
-    partial states by their planar matching of the n top points and the n
-    frontier points, so equal tangles share work; at most Catalan(n) buckets
-    exist at any time and the result equals the plain 2^crossings
-    enumeration exactly.
+    Digit width.  A crossing turns a bucket of l1 norm N into terms of norm N
+    in two buckets, or in one at a kink, and sums are subadditive, so all
+    buckets together have norm at most 2^c; the closure factors have norm
+    2^(L-1) <= 2^(n-1).  Every coefficient of the sum is at most
+    B = 2^(c+n-1), and K = bit_length(B) + 1 = c + n + 1 unpacks it exactly.
     """
     if len(w.letters) > guard:
         return None
-    n = w.strands
-    init = tuple(list(range(n, 2 * n)) + list(range(n)))
-    states: dict[tuple[int, ...], LaurentPoly] = {init: LaurentPoly.one()}
+    n, c = w.strands, len(w.letters)
+    k = c + n + 1
+    states = {tuple(list(range(n, 2 * n)) + list(range(n))): 1}
     for letter in w.letters:
         i = abs(letter)
         x, y = n + i - 1, n + i
-        sign = 1 if letter > 0 else -1
-        acc: dict[tuple[int, ...], LaurentPoly] = {}
-        for m, coeff in states.items():
-            # vertical smoothing
-            prior = acc.get(m)
-            bumped = coeff.shifted(-sign)
-            acc[m] = bumped if prior is None else prior + bumped
-            # cup-cap smoothing
-            a, b = m[x], m[y]
-            c2 = coeff.shifted(sign)
+        vertical, kink = (0, 2 * k) if letter > 0 else (2 * k, 0)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for m, v in states.items():
+            a = m[x]
             if a == y:
-                m2 = m
-                c2 = c2 * _DELTA
-            else:
-                lst = list(m)
-                lst[a], lst[b] = b, a
-                lst[x], lst[y] = y, x
-                m2 = tuple(lst)
-            prior = acc.get(m2)
-            acc[m2] = c2 if prior is None else prior + c2
-        states = {key: val for key, val in acc.items() if not val.is_zero}
+                acc[m] = get(m, 0) - (v << kink)
+                continue
+            acc[m] = get(m, 0) + (v << vertical)
+            b = m[y]
+            lst = list(m)
+            lst[a], lst[b] = b, a
+            lst[x], lst[y] = y, x
+            m2 = tuple(lst)
+            acc[m2] = get(m2, 0) + (v << k)
+        states = {key: val for key, val in acc.items() if val}
 
-    bracket = LaurentPoly.zero()
-    for m, coeff in states.items():
-        bracket = bracket + coeff * _DELTA ** (_closure_loops(m, n) - 1)
+    by_loops = [0] * (n + 1)
+    for m, v in states.items():
+        by_loops[_closure_loops(m, n)] += v
+    loop = -1 - (1 << 2 * k)
+    packed = sum(v * loop ** (L - 1) << (n - L) * k for L, v in enumerate(by_loops) if v)
 
     writhe = w.letter_stats().exponent_sum
-    normalized = bracket.shifted(3 * writhe)
-    return normalized.scaled(-1) if writhe % 2 else normalized
+    offset = 4 * writhe - 2 * c - 2 * (n - 1)
+    sign = -1 if writhe % 2 else 1
+    return LaurentPoly({2 * e + offset: sign * d for e, d in unpack(packed, k, 0).terms()})
 
 
 # -- Euler characteristic and aggregation --------------------------------------

@@ -2,8 +2,9 @@
 
 Coefficients are arbitrary-precision Python ints and the representation is a
 sparse map from exponent to nonzero coefficient, so polynomial equality is
-exact and cheap.  This is the coefficient ring for Burau matrices and
-Kauffman bracket sums.
+exact and cheap.  It holds Burau matrix entries and the Alexander and Jones
+values; the Kauffman state sum itself runs on packed integers and meets this
+type only when its result is unpacked.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
@@ -112,18 +113,6 @@ class LaurentPoly:
                 else:
                     del out[e]
         return LaurentPoly(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""

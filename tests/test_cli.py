@@ -167,6 +167,12 @@ def test_out_of_range_counts_rejected_before_work(capsys):
     for *argv, flag, value in [
         ("sweep", "--max-p", "5", "--jobs", "0"),
         ("sweep", "--max-p", "5", "--jones-guard", "-1"),
+        ("sweep", "--max-p", "3"),
+        ("sweep", "--max-p", "0"),
+        ("sweep", "--max-p", "5", "--max-n", "0"),
+        ("sweep", "--max-p", "5", "--max-s", "0"),
+        ("sweep", "--max-p", "5", "--max-s", "-1"),
+        ("sweep", "--max-p", "5", "--max-a", "1"),
         ("invariants", "T((2,3))", "--jones-guard", "-5"),
     ]:
         code, out, err = run(capsys, *argv, flag, value)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_jones, burau_product, leibniz_determinant, torus_alexander_closed_form
+from _oracles import (
+    brute_jones,
+    bucket_jones,
+    burau_product,
+    leibniz_determinant,
+    torus_alexander_closed_form,
+    torus_jones_closed_form,
+)
 from tlinks.braid import BraidWord, torus_braid
 from tlinks.invariants import (
     alexander,
@@ -109,6 +116,31 @@ def test_jones_matches_brute_enumeration():
         )
         w = BraidWord(n, letters)
         assert jones(w, guard=20) == brute_jones(w)
+
+
+def test_packed_jones_matches_bucket_oracle():
+    random.seed(20261018)
+    cases = []
+    for signs in ((1,), (1, -1)):
+        for count, strands, lengths in ((20, (2, 9), (0, 24)), (8, (2, 4), (25, 120))):
+            for _ in range(count):
+                n, length = random.randint(*strands), random.randint(*lengths)
+                letters = [random.choice(signs) * random.randint(1, n - 1) for _ in range(length)]
+                cases.append((n, letters))
+    # long words on two and three strands, where the width grows with the
+    # crossings, and split closures, where the closure factor (1 + u^2)^(n-1)
+    # carries the whole 2^(n-1) of the width bound
+    cases += [(2, [e] * c) for e in (1, -1) for c in (1, 2, 3, 17, 64, 120)]
+    cases += [(3, [1, -2] * k) for k in (1, 5, 30, 60)]
+    cases += [(n, []) for n in range(1, 10)]
+    for n, letters in cases:
+        w = BraidWord(n, tuple(letters))
+        assert jones(w, guard=len(letters)) == bucket_jones(w)
+
+
+def test_jones_matches_torus_closed_form():
+    for p, q in [(3, 2), (101, 2), (50, 3), (25, 4), (21, 5), (17, 7)]:
+        assert jones(torus_braid(p, q), guard=10**6) == torus_jones_closed_form(p, q)
 
 
 def test_jones_at_one():
