@@ -15,22 +15,33 @@ Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
 t^(k/4)), which keeps links with half-integer powers exact.
 
-Every word, positive or signed, takes the same exact path to Alexander: the
-Burau product is formed by column updates on integers packed at t = 2^K,
-unpacked, and the determinant of the product minus the identity is one integer
-determinant at a second digit width.  These widths and the Jones one come
-from proved bounds on coefficient size (see reduced_burau, laurent.determinant
-and jones), so the recovery of coefficients is exact, never heuristic.
+Every word, positive or signed, takes the same exact path to Alexander, on
+packed integers from the first letter to the quotient: the Burau columns are
+updated as integers packed at t = 2^K1; one digit pass reads their
+coefficients, lowest exponents and norms; the product minus the identity is
+repacked at a second width K2 for one integer determinant; and the division
+by 1 + t + ... + t^(n-1) is one integer division whose quotient is unpacked
+once.  These widths and the Jones one come from proved bounds on coefficient
+size (see alexander, laurent.divide_by_strand_sum and jones), so the recovery
+of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .braid import BraidWord, torus_braid
 from .garside import braid_index_by_full_twist
-from .laurent import LaurentPoly, PolyMatrix, determinant, unpack
+from .laurent import (
+    LaurentPoly,
+    PolyMatrix,
+    balanced_digits,
+    divide_by_strand_sum,
+    int_determinant,
+    unpack,
+)
 
 # Cost model of jones: about letters x min(Catalan(strands), 2^letters) bucket
 # updates, each a shift and an add on an integer of at most 2 x letters digits
@@ -53,53 +64,55 @@ class InvariantBundle:
 # -- reduced Burau representation and Alexander polynomial ---------------------
 
 
-def reduced_burau(w: BraidWord) -> PolyMatrix:
-    """Product of the (n-1)x(n-1) generator matrices, letters left to right.
+def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
+    """Columns of t^neg times the reduced Burau matrix, packed at t = 2^K1.
 
+    Returns (cols, K1, neg), neg the number of inverse letters: cols[c][r]
+    packs entry (r, c) of t^neg rho(w), a polynomial (see laurent.unpack).
     Right multiplication by the matrix of sigma_i changes only column
     c = i - 1, to t*col[c-1] - t*col[c] + col[c+1], where a neighbour outside
     the matrix counts as zero.  The matrix of sigma_i^-1 has entries t^-1, so
     an inverse letter is applied as t*sigma_i^-1 instead: column c becomes
-    t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t.
-    The running product is then t^neg times the true one, neg the number of
-    inverse letters so far, and all its entries are polynomials.  They are
-    held as integers packed at t = 2^K (see laurent.unpack), on which
-    multiplying by t is a shift by K bits.
+    t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t,
+    a shift by K1 bits.  Before the product, a recurrence on packed norms
+    fixes K1; both widths are proved in alexander.
+    """
+    m = w.strands - 1
+    letters = w.letters
+    width = 2 * len(letters) + 2
+    # a zero column on each side, so that column c = i - 1 sits at index i
+    norms = [0] + [1 << width * c for c in range(m)] + [0]
+    for i in map(abs, letters):
+        norms[i] += norms[i - 1] + norms[i + 1]
+    slot = (1 << width) - 1
+    bound = max(col >> width * r & slot for col in norms for r in range(m))
+    k = (bound + 1).bit_length() + 1
 
-    Digit width.  Alongside the product, norms[c][r] tracks a bound on the l1
-    norm of entry (r, c), starting from the identity.  Each update adds three
-    neighbours with monomial multipliers of coefficient +-1, so by the
-    triangle inequality the new entry's norm is at most the sum of theirs;
-    multiplying by t keeps a norm.  The recurrence is the same for both signs,
-    so every coefficient of every final entry is at most the largest tracked
-    norm B, and K = bit_length(B) + 1 unpacks each entry exactly.
+    zero = [0] * m
+    cols = [zero] + [[int(r == c) for r in range(m)] for c in range(m)] + [zero]
+    neg = 0
+    for letter in letters:
+        if letter > 0:
+            left, col, right = cols[letter - 1], cols[letter], cols[letter + 1]
+            cols[letter] = [((a - b) << k) + d for a, b, d in zip(left, col, right)]
+        else:
+            i = -letter
+            left, col, right = cols[i - 1], cols[i], cols[i + 1]
+            cols = [[x << k for x in other] for other in cols]
+            cols[i] = [(a << k) - b + d for a, b, d in zip(left, col, right)]
+            neg += 1
+    return cols[1:-1], k, neg
+
+
+def reduced_burau(w: BraidWord) -> PolyMatrix:
+    """Product of the (n-1)x(n-1) generator matrices, letters left to right.
+
+    The packed columns of alexander (_burau_columns), each entry unpacked once.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
-    m = w.strands - 1
-    zero = [0] * m
-    norms = [[int(r == c) for r in range(m)] for c in range(m)]
-    for letter in w.letters:
-        c = abs(letter) - 1
-        left = norms[c - 1] if c else zero
-        right = norms[c + 1] if c + 1 < m else zero
-        norms[c] = [a + b + d for a, b, d in zip(left, norms[c], right)]
-    k = max(map(max, norms)).bit_length() + 1
-
-    cols = [[int(r == c) for r in range(m)] for c in range(m)]
-    neg = 0
-    for letter in w.letters:
-        c = abs(letter) - 1
-        left = cols[c - 1] if c else zero
-        right = cols[c + 1] if c + 1 < m else zero
-        if letter > 0:
-            cols[c] = [((a - b) << k) + d for a, b, d in zip(left, cols[c], right)]
-        else:
-            col = [(a << k) - b + d for a, b, d in zip(left, cols[c], right)]
-            cols = [[x << k for x in other] for other in cols]
-            cols[c] = col
-            neg += 1
-    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(m))
+    cols, k, neg = _burau_columns(w)
+    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(len(cols)))
 
 
 def alexander(w: BraidWord) -> LaurentPoly:
@@ -107,21 +120,90 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
     Zero (the empty map) for split closures such as unlinks; otherwise the
     lowest exponent is 0 and the lowest coefficient positive.
+
+    One packed pipeline; no polynomial is built before the quotient.  The
+    Burau columns of t^neg rho(w) come packed at t = 2^K1 (_burau_columns),
+    and t^neg, packed as 1 << K1 neg, is subtracted from each diagonal entry.
+    One digit pass splits every entry into its balanced base-2^K1 digits, its
+    coefficients, and gives each entry's lowest exponent and l1 norm.
+    Each column, then each row, is divided by the power of t that brings its
+    lowest exponent to 0, which changes the determinant by a unit.  The
+    columns are packed at t = 2^K2 as the rows of the transpose, which has
+    the same determinant, for one integer Bareiss determinant D.  D is
+    divided by [n]_t = 1 + t + ... + t^(n-1) in packed form
+    (laurent.divide_by_strand_sum), which unpacks the quotient once and
+    raises InexactDivisionError unless the division is exact.
+
+    Norm slots.  A bound on the l1 norm of each Burau entry is tracked from
+    the identity: an update adds three neighbours with monomial multipliers of
+    coefficient +-1, so by the triangle inequality the new norm is at most the
+    sum of theirs, and multiplying by t keeps a norm.  A norm at most triples
+    per letter, so after L letters it is at most 3^L < 2^W, W = 2L + 2.  A
+    column of norms is one integer with row r in bits [W r, W (r + 1)), so
+    the sum of three columns adds slot by slot and no carry crosses a slot.
+
+    Burau width K1.  The recurrence is the same for both signs, so every
+    coefficient of t^neg rho(w) is at most the largest tracked norm B, and
+    after the identity is subtracted at most B + 1 < 2^bit_length(B + 1).
+    K1 = bit_length(B + 1) + 1 therefore recovers every coefficient
+    (laurent.balanced_digits).
+
+    Determinant width K2.  With N_rc the true l1 norm of entry (r, c), the
+    l1 norm of the determinant is at most the product of the row sums of N
+    (see laurent.determinant), and by the same argument on the transpose at
+    most the product of the column sums; B2 is the smaller product, and
+    shifts by powers of t change no norm.  K2 = bit_length((2n+1) B2) + 1
+    gives (2n+1) B2 < 2^(K2-1), the width divide_by_strand_sum needs.
     """
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
-    one = LaurentPoly.one()
-    burau = reduced_burau(w).entries
-    det = determinant(
-        PolyMatrix.from_rows(
-            [p - one if i == j else p for j, p in enumerate(row)] for i, row in enumerate(burau)
-        )
-    )
-    if det.is_zero:
+    cols, k, neg = _burau_columns(w)
+    one = 1 << k * neg
+    # digit_cols[c][r] is (lowest exponent, digits) of entry (r, c), or None for 0
+    digit_cols: list[list[tuple[int, list[int]] | None]] = []
+    col_norms = [0] * (n - 1)
+    row_norms = [0] * (n - 1)
+    for c, col in enumerate(cols):
+        col[c] -= one
+        entries: list[tuple[int, list[int]] | None] = []
+        for r, v in enumerate(col):
+            if not v:
+                entries.append(None)
+                continue
+            low = ((v & -v).bit_length() - 1) // k
+            digits = balanced_digits(v >> k * low, k)
+            norm = sum(map(abs, digits))
+            col_norms[c] += norm
+            row_norms[r] += norm
+            entries.append((low, digits))
+        digit_cols.append(entries)
+    bound = min(prod(col_norms), prod(row_norms))
+    if not bound:  # a zero row or column
         return LaurentPoly.zero()
-    strand_sum = LaurentPoly({e: 1 for e in range(n)})
-    return det.divide_exact(strand_sum).unit_normalized()
+    col_lows = [min(e[0] for e in col if e) for col in digit_cols]
+    row_lows = [
+        min(col[r][0] - low for col, low in zip(digit_cols, col_lows) if col[r])
+        for r in range(n - 1)
+    ]
+
+    k2 = ((2 * n + 1) * bound).bit_length() + 1
+    packed = []
+    for col, col_low in zip(digit_cols, col_lows):
+        out = []
+        for entry, row_low in zip(col, row_lows):
+            value = 0
+            if entry:
+                low, digits = entry
+                for d in reversed(digits):
+                    value = (value << k2) + d
+                value <<= k2 * (low - col_low - row_low)
+            out.append(value)
+        packed.append(out)
+    det = int_determinant(packed)
+    if not det:
+        return LaurentPoly.zero()
+    return divide_by_strand_sum(det, n, k2, bound).unit_normalized()
 
 
 # -- Kauffman bracket / Jones --------------------------------------------------

@@ -2,21 +2,22 @@
 
 Coefficients are arbitrary-precision Python ints and the representation is a
 sparse map from exponent to nonzero coefficient, so polynomial equality is
-exact and cheap.  It holds Burau matrix entries and the Alexander and Jones
-values; the Kauffman state sum itself runs on packed integers and meets this
-type only when its result is unpacked.
+exact and cheap.  It holds the Alexander and Jones values and the entries of
+a PolyMatrix; the Burau product, the Alexander determinant and the Kauffman
+state sum run on packed integers and meet this type only when their result is
+unpacked.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
-balanced base-2^k digits when k exceeds their bit length.  Determinants of
-polynomial matrices are computed in that form, as one fraction-free integer
-determinant.
+balanced base-2^k digits when k exceeds their bit length.  On packed
+integers it provides the one fraction-free integer determinant, used by
+determinant and by the Alexander pipeline, and exact division by
+1 + t + ... + t^(n-1) as one integer division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping
 
@@ -75,15 +76,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self._coeffs)
 
-    def evaluate(self, x: int) -> Fraction:
-        """Exact value at an integer point (Fraction because of t^-k terms)."""
-        if x == 0:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += Fraction(c) * (Fraction(x) ** e)
-        return total
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -120,33 +112,6 @@ class LaurentPoly:
 
     def scaled(self, factor: int) -> "LaurentPoly":
         return LaurentPoly({e: c * factor for e, c in self._coeffs.items()})
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / divisor; raises InexactDivisionError if not divisible.
-
-        Schoolbook division from the top on dense coefficient lists, both
-        operands shifted to lowest exponent 0.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
-        lo, dlo = self.min_exp, divisor.min_exp
-        rem = [self._coeffs.get(e, 0) for e in range(lo, self.max_exp + 1)]
-        den = [divisor._coeffs.get(e, 0) for e in range(dlo, divisor.max_exp + 1)]
-        top = len(den) - 1
-        quot = [0] * (len(rem) - top)
-        for pos in range(len(quot) - 1, -1, -1):
-            q, r = divmod(rem[pos + top], den[top])
-            if r:
-                raise InexactDivisionError("polynomial division is not exact")
-            if q:
-                quot[pos] = q
-                for j, d in enumerate(den):
-                    rem[pos + j] -= q * d
-        if any(rem[:top]):
-            raise InexactDivisionError("polynomial division is not exact")
-        return LaurentPoly({e + lo - dlo: c for e, c in enumerate(quot)})
 
     def unit_normalized(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.
@@ -237,44 +202,9 @@ class PolyMatrix:
     def from_rows(cls, rows: Iterable[Iterable[LaurentPoly]]) -> "PolyMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.size
-        if other.size != n:
-            raise ValueError("size mismatch")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(tuple(rows))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.size
-        if other.size != n:
-            raise ValueError("size mismatch")
-        return PolyMatrix(
-            tuple(
-                tuple(self.entries[i][j] - other.entries[i][j] for j in range(n))
-                for i in range(n)
-            )
-        )
 
 
 # -- packed integers -----------------------------------------------------------
@@ -286,33 +216,66 @@ class PolyMatrix:
 # determinants, and multiplying a packed polynomial by t is a shift by k bits.
 
 
+def balanced_digits(value: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of value, lowest first.
+
+    Each digit lies in [-2^(k-1), 2^(k-1)), and the digits of a packed
+    polynomial are its coefficients whenever every coefficient c has
+    |c| < 2^(k-1): the lowest coefficient is then the one residue of value
+    modulo 2^k in that range, and value minus it, divided by 2^k, packs the
+    remaining terms.  A coefficient bound B meets this with
+    k >= bit_length(B) + 1, since |c| <= B < 2^bit_length(B).  The loop ends
+    for k >= 2, or for value 0.
+    """
+    base = 1 << k
+    mask, half = base - 1, base >> 1
+    digits = []
+    while value:
+        d = value & mask
+        value >>= k
+        if d >= half:
+            d -= base
+            value += 1
+        digits.append(d)
+    return digits
+
+
 def unpack(value: int, k: int, low: int) -> LaurentPoly:
     """The polynomial whose packed form at t = 2^k, counted from t^low, is value.
 
-    Its coefficients are the balanced base-2^k digits of value, each in
-    [-2^(k-1), 2^(k-1)).  Recovery is exact whenever every coefficient c of
-    the packed polynomial has |c| < 2^(k-1): the lowest coefficient is then
-    the one residue of value modulo 2^k in that range, and value minus it,
-    divided by 2^k, packs the remaining terms.  A coefficient bound B meets
-    this with k >= bit_length(B) + 1, since |c| <= B < 2^bit_length(B).
-    The loop ends for k >= 2, or for value 0.
+    Its coefficients are the balanced digits of value (see balanced_digits).
     """
-    base = 1 << k
-    half = base >> 1
-    coeffs: dict[int, int] = {}
-    exp = low
-    while value:
-        d = value & (base - 1)
-        if d >= half:
-            d -= base
-        if d:
-            coeffs[exp] = d
-        value = (value - d) >> k
-        exp += 1
-    return LaurentPoly(coeffs)
+    return LaurentPoly(dict(enumerate(balanced_digits(value, k), low)))
 
 
-def _int_determinant(rows: list[list[int]]) -> int:
+def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
+    """The exact quotient by [n]_t = 1 + t + ... + t^(n-1), in packed form.
+
+    value packs, at t = 2^k from t^0 up, a polynomial det of l1 norm at most
+    bound, and k >= bit_length((2n+1) bound) + 1.  One integer division
+    q, rem = divmod(value, [n](2^k)) replaces the polynomial one, and q is
+    unpacked once.  Raises InexactDivisionError when rem is nonzero or a
+    digit of q exceeds 2 bound, and otherwise returns Q with det = Q [n]_t.
+
+    Soundness.  If det = Q [n]_t, then det (1 - t) = Q (1 - t^n), so
+    Q_i - Q_(i-n) = det_i - det_(i-1) and Q_i is the sum of
+    det_(i-jn) - det_(i-jn-1) over j >= 0, a sum over distinct coefficients;
+    hence |Q_i| <= 2 ||det||_1 <= 2 bound < 2^(k-1), q packs Q exactly, and
+    both checks pass.  Conversely, if both pass and Q is the unpacked q, then
+    E = Q [n]_t - det has |E_i| <= n 2 bound + bound = (2n+1) bound < 2^k,
+    and E(2^k) = q [n](2^k) - value = 0.  So E is an integer multiple of
+    t - 2^k, and a nonzero multiple has a coefficient of size at least 2^k
+    (its lowest one is 2^k times the lowest of the cofactor): E = 0 and the
+    division was exact.
+    """
+    q, rem = divmod(value, ((1 << k * n) - 1) // ((1 << k) - 1))
+    quotient = unpack(q, k, 0)
+    if rem or any(abs(c) > 2 * bound for c in quotient._coeffs.values()):
+        raise InexactDivisionError("polynomial division is not exact")
+    return quotient
+
+
+def int_determinant(rows: list[list[int]]) -> int:
     """Fraction-free integer determinant (Bareiss); every division is exact."""
     n = len(rows)
     if n == 0:
@@ -362,4 +325,4 @@ def determinant(m: PolyMatrix) -> LaurentPoly:
         [sum(c << k * (e - low) for e, c in p._coeffs.items()) for p in row]
         for row, low in zip(m.entries, lows)
     ]
-    return unpack(_int_determinant(packed), k, sum(lows))
+    return unpack(int_determinant(packed), k, sum(lows))

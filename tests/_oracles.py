@@ -6,20 +6,23 @@ union-find loop counting, and for long words by a state sum bucketed by
 planar matching over dict polynomials, the torus-knot Alexander and Jones
 polynomials by exact division of their closed-form quotients, the reduced
 Burau matrix as a product of generator matrices over Laurent polynomials,
-determinants by Leibniz expansion, the Garside normal form by
-left-weighting every adjacent pair until nothing changes, braid-word
-equivalence by closing the word under commutation and braid relations, and
-torus candidate parameters by direct integer enumeration.
+determinants by Leibniz expansion, polynomial division by the schoolbook
+method on dense coefficient lists, values at a point as exact fractions,
+the Garside normal form by left-weighting every adjacent pair until nothing
+changes, braid-word equivalence by closing the word under commutation and
+braid relations, and torus candidate parameters by direct integer
+enumeration.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
 from tlinks.braid import BraidWord, Permutation
 from tlinks.garside import NormalForm
-from tlinks.laurent import LaurentPoly, PolyMatrix
+from tlinks.laurent import InexactDivisionError, LaurentPoly, PolyMatrix
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
 
@@ -35,6 +38,66 @@ def poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
         p = p * p
         k >>= 1
     return result
+
+
+def evaluate(p: LaurentPoly, x: int) -> Fraction:
+    """Exact value at a nonzero integer point (a Fraction because of t^-k terms)."""
+    if x == 0:
+        raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
+    return sum((Fraction(c) * Fraction(x) ** e for e, c in p.terms()), Fraction(0))
+
+
+def divide_exact(p: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """Exact quotient p / divisor; raises InexactDivisionError if not divisible.
+
+    Schoolbook division from the top on dense coefficient lists, both
+    operands shifted to lowest exponent 0.
+    """
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero:
+        return LaurentPoly.zero()
+    num, den = dict(p.terms()), dict(divisor.terms())
+    lo, dlo = p.min_exp, divisor.min_exp
+    rem = [num.get(e, 0) for e in range(lo, p.max_exp + 1)]
+    den_list = [den.get(e, 0) for e in range(dlo, divisor.max_exp + 1)]
+    top = len(den_list) - 1
+    quot = [0] * (len(rem) - top)
+    for pos in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[pos + top], den_list[top])
+        if r:
+            raise InexactDivisionError("polynomial division is not exact")
+        if q:
+            quot[pos] = q
+            for j, d in enumerate(den_list):
+                rem[pos + j] -= q * d
+    if any(rem[:top]):
+        raise InexactDivisionError("polynomial division is not exact")
+    return LaurentPoly({e + lo - dlo: c for e, c in enumerate(quot)})
+
+
+def identity_matrix(n: int) -> PolyMatrix:
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return PolyMatrix.from_rows([one if i == j else zero for j in range(n)] for i in range(n))
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Schoolbook product of two square matrices of the same size."""
+    if a.size != b.size:
+        raise ValueError("size mismatch")
+    cols = list(zip(*b.entries))
+    return PolyMatrix.from_rows(
+        [sum((x * y for x, y in zip(row, col)), LaurentPoly.zero()) for col in cols]
+        for row in a.entries
+    )
+
+
+def matsub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    if a.size != b.size:
+        raise ValueError("size mismatch")
+    return PolyMatrix.from_rows(
+        [x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)
+    )
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -138,16 +201,16 @@ def burau_product(w: BraidWord) -> PolyMatrix:
     holds (t, -t, 1) for sigma_i and (1, -t^-1, t^-1) for its inverse in rows
     c-1, c and c+1, clipped to the (n-1)x(n-1) matrix."""
     m = w.strands - 1
-    out = PolyMatrix.identity(m)
+    out = identity_matrix(m)
     for letter in w.letters:
         c = abs(letter) - 1
         t = LaurentPoly.t(1 if letter > 0 else -1)
         column = (t, -t, LaurentPoly.one()) if letter > 0 else (LaurentPoly.one(), -t, t)
-        rows = [list(row) for row in PolyMatrix.identity(m).entries]
+        rows = [list(row) for row in identity_matrix(m).entries]
         for r, entry in zip((c - 1, c, c + 1), column):
             if 0 <= r < m:
                 rows[r][c] = entry
-        out = out * PolyMatrix.from_rows(rows)
+        out = matmul(out, PolyMatrix.from_rows(rows))
     return out
 
 
@@ -170,8 +233,8 @@ def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:
         raise ValueError("closed form applies to coprime parameters only")
     minus_one = LaurentPoly.term(-1, 0)
     numerator = (LaurentPoly.t(p * q) + minus_one) * (LaurentPoly.t(1) + minus_one)
-    quotient = numerator.divide_exact(LaurentPoly.t(p) + minus_one)
-    quotient = quotient.divide_exact(LaurentPoly.t(q) + minus_one)
+    quotient = divide_exact(numerator, LaurentPoly.t(p) + minus_one)
+    quotient = divide_exact(quotient, LaurentPoly.t(q) + minus_one)
     return quotient.unit_normalized()
 
 
@@ -184,7 +247,7 @@ def torus_jones_closed_form(p: int, q: int) -> LaurentPoly:
         raise ValueError("closed form applies to coprime parameters only")
     t = LaurentPoly.t
     numerator = LaurentPoly.one() - t(p + 1) - t(q + 1) + t(p + q)
-    v = numerator.divide_exact(LaurentPoly.one() - t(2)).shifted((p - 1) * (q - 1) // 2)
+    v = divide_exact(numerator, LaurentPoly.one() - t(2)).shifted((p - 1) * (q - 1) // 2)
     return LaurentPoly({4 * e: c for e, c in v.terms()})
 
 

@@ -3,8 +3,17 @@ import json
 
 import pytest
 
-from tlinks.cli import _CSV_FIELDS, EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from tlinks.laurent import InexactDivisionError, LaurentPoly
+from tlinks import cli, invariants
+from tlinks.cli import (
+    _CSV_FIELDS,
+    EXIT_CONTRADICTION,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_STRANDS,
+    main,
+)
+from tlinks.laurent import InexactDivisionError
 
 
 def run(capsys, *argv):
@@ -58,14 +67,36 @@ def test_certify_command(capsys):
 
 
 def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
-    def inexact(self, divisor):
+    def inexact(value, n, k, bound):
         raise InexactDivisionError("polynomial division is not exact")
 
-    monkeypatch.setattr(LaurentPoly, "divide_exact", inexact)
+    monkeypatch.setattr(invariants, "divide_by_strand_sum", inexact)
     code, out, err = run(capsys, "invariants", "T((2,5))")
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.strip() == "internal error: polynomial division is not exact"
+
+
+def test_oversized_strand_count_rejected_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("bundle ran on an oversized word")
+
+    monkeypatch.setattr(cli, "bundle", no_work)
+    monkeypatch.setattr(cli, "certify", no_work)
+    for argv in [
+        ("invariants", "n=1000000:"),
+        ("invariants", f"n={MAX_STRANDS + 1}: 1,2"),
+        ("invariants", f"T((2,3),({MAX_STRANDS + 1},2))"),
+        ("certify", "n=1000000: 1"),
+        ("certify", "T((1000000,1000000))"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"strands is more than the limit of {MAX_STRANDS}" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "invariants", f"n={MAX_STRANDS}:")
+    assert code == EXIT_OK
+    assert f"components:  {MAX_STRANDS}" in out
 
 
 def test_certify_rejects_negative(capsys):

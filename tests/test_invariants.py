@@ -8,7 +8,11 @@ from _oracles import (
     brute_jones,
     bucket_jones,
     burau_product,
+    divide_exact,
+    evaluate,
+    identity_matrix,
     leibniz_determinant,
+    matsub,
     torus_alexander_closed_form,
     torus_jones_closed_form,
 )
@@ -21,7 +25,7 @@ from tlinks.invariants import (
     reduced_burau,
     torus_reference,
 )
-from tlinks.laurent import LaurentPoly, PolyMatrix, determinant
+from tlinks.laurent import LaurentPoly, determinant
 from tlinks.tlink import FullTwistForm, absorb_strands
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -40,7 +44,7 @@ def words(draw, max_strands=4, max_letters=12):
 
 
 def test_reduced_burau_examples():
-    assert reduced_burau(BraidWord(4, ())) == PolyMatrix.identity(3)
+    assert reduced_burau(BraidWord(4, ())) == identity_matrix(3)
     assert reduced_burau(UNKNOT).entries[0][0] == LaurentPoly.term(-1, 1)
     assert reduced_burau(TREFOIL).entries[0][0] == LaurentPoly.term(-1, 3)
 
@@ -55,7 +59,7 @@ def test_reduced_burau_is_a_representation():
         assert reduced_burau(BraidWord(n, u)) == reduced_burau(BraidWord(n, v))
     for n in range(2, 6):
         for i in range(1, n):
-            assert reduced_burau(BraidWord(n, (i, -i))) == PolyMatrix.identity(n - 1)
+            assert reduced_burau(BraidWord(n, (i, -i))) == identity_matrix(n - 1)
 
 
 def test_alexander_examples():
@@ -75,7 +79,7 @@ def test_alexander_closed_form_cross_check():
 def test_alexander_at_one_is_a_unit_for_knots():
     for w in [TREFOIL, torus_braid(5, 2), torus_braid(7, 3), torus_braid(5, 4)]:
         assert w.component_count() == 1
-        assert abs(alexander(w).evaluate(1)) == 1
+        assert abs(evaluate(alexander(w), 1)) == 1
 
 
 def test_packed_burau_matches_generator_product():
@@ -88,8 +92,29 @@ def test_packed_burau_matches_generator_product():
             w = BraidWord(n, letters)
             burau = reduced_burau(w)
             assert burau == burau_product(w)
-            minus_identity = burau - PolyMatrix.identity(n - 1)
+            minus_identity = matsub(burau, identity_matrix(n - 1))
             assert determinant(minus_identity) == leibniz_determinant(minus_identity)
+
+
+def test_alexander_matches_leibniz_oracle():
+    random.seed(20261020)
+    cases = []
+    for signs in ((1,), (1, -1)):
+        for _ in range(20):
+            n = random.randint(2, 6)
+            length = random.randint(0, 120)
+            letters = tuple(random.choice(signs) * random.randint(1, n - 1) for _ in range(length))
+            cases.append(BraidWord(n, letters))
+    # split closures (unlinks, Hopf link beside a trefoil), sigma_i sigma_i^-1, one strand
+    cases += [BraidWord(n, ()) for n in range(2, 6)] + [BraidWord(4, (1, 1, 3, 3, 3))]
+    cases += [BraidWord(n, (i, -i)) for n in range(2, 6) for i in range(1, n)]
+    cases.append(BraidWord(1, ()))
+    for w in cases:
+        m = w.strands - 1
+        det = leibniz_determinant(matsub(burau_product(w), identity_matrix(m)))
+        strand_sum = LaurentPoly({e: 1 for e in range(w.strands)})
+        expected = divide_exact(det, strand_sum).unit_normalized() if det else det
+        assert alexander(w) == expected
 
 
 def test_jones_examples():
@@ -145,7 +170,7 @@ def test_jones_matches_torus_closed_form():
 
 def test_jones_at_one():
     for w in [UNKNOT, TREFOIL, torus_braid(4, 2), torus_braid(6, 3), BraidWord(3, ())]:
-        value = jones(w, guard=30).evaluate(1)
+        value = evaluate(jones(w, guard=30), 1)
         assert value == (-2) ** (w.component_count() - 1)
 
 

@@ -2,8 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import leibniz_determinant, poly_pow
-from tlinks.laurent import InexactDivisionError, LaurentPoly, PolyMatrix, determinant, poly_text
+from _oracles import divide_exact, evaluate, identity_matrix, leibniz_determinant, matmul, poly_pow
+from tlinks.laurent import (
+    InexactDivisionError,
+    LaurentPoly,
+    PolyMatrix,
+    determinant,
+    divide_by_strand_sum,
+    poly_text,
+)
 
 T = LaurentPoly.t
 ONE = LaurentPoly.one()
@@ -35,7 +42,7 @@ def test_mul_examples():
 
 
 def test_determinant_examples():
-    assert determinant(PolyMatrix.identity(3)) == ONE
+    assert determinant(identity_matrix(3)) == ONE
     diag = PolyMatrix.from_rows([[T(1), ZERO], [ZERO, T(-1)]])
     assert determinant(diag) == ONE
     # 2x2 cofactor oracle: 1*1 - t*t
@@ -85,29 +92,49 @@ def test_normalize_unit_rejects_zero():
 
 def test_divide_exact():
     num = P({3: 1, 0: -1})  # t^3 - 1
-    assert num.divide_exact(T(1) - ONE) == P({0: 1, 1: 1, 2: 1})
+    assert divide_exact(num, T(1) - ONE) == P({0: 1, 1: 1, 2: 1})
     with pytest.raises(ValueError):
-        P({1: 1, 0: 1}).divide_exact(P({1: 2}))
+        divide_exact(P({1: 1, 0: 1}), P({1: 2}))
     shifted = P({-2: 1, 1: 1})
-    assert shifted.divide_exact(T(-2)) == P({0: 1, 3: 1})
+    assert divide_exact(shifted, T(-2)) == P({0: 1, 3: 1})
     # negative exponents in both operands: (t^-3 + t^-1)(t^-2 - 3 + 5t) / (t^-2 - 3 + 5t)
     num = P({-5: 1, -3: -2, -2: 5, -1: -3, 0: 5})
-    assert num.divide_exact(P({-2: 1, 0: -3, 1: 5})) == P({-3: 1, -1: 1})
+    assert divide_exact(num, P({-2: 1, 0: -3, 1: 5})) == P({-3: 1, -1: 1})
     # a divisor whose lead coefficient is not a unit: 2t^2 + 4t + 2 = (2t + 2)(t + 1)
-    assert P({2: 2, 1: 4, 0: 2}).divide_exact(P({1: 2, 0: 2})) == P({1: 1, 0: 1})
+    assert divide_exact(P({2: 2, 1: 4, 0: 2}), P({1: 2, 0: 2})) == P({1: 1, 0: 1})
     with pytest.raises(InexactDivisionError):
-        P({2: 3, 0: 1}).divide_exact(P({1: 2, 0: 2}))  # 3 is not divisible by 2
+        divide_exact(P({2: 3, 0: 1}), P({1: 2, 0: 2}))  # 3 is not divisible by 2
     # the top terms cancel but a low-order remainder is left: t^3 + t + 1 = (t^2 + 1) t + 1
     with pytest.raises(InexactDivisionError, match="not exact"):
-        P({3: 1, 1: 1, 0: 1}).divide_exact(P({2: 1, 0: 1}))
+        divide_exact(P({3: 1, 1: 1, 0: 1}), P({2: 1, 0: 1}))
     with pytest.raises(InexactDivisionError):
-        T(1).divide_exact(P({2: 1, 0: 1}))  # divisor of higher degree
+        divide_exact(T(1), P({2: 1, 0: 1}))  # divisor of higher degree
+
+
+def test_divide_by_strand_sum_checks():
+    def packed(coeffs, k):
+        return sum(c << k * e for e, c in coeffs.items())
+
+    # exact: (1 + t + t^2)(1 - 2t) at the proved width for its l1 norm 5
+    det, n, bound = {0: 1, 1: -1, 2: -1, 3: -2}, 3, 5
+    k = ((2 * n + 1) * bound).bit_length() + 1
+    assert divide_by_strand_sum(packed(det, k), n, k, bound) == P({0: 1, 1: -2})
+    assert divide_by_strand_sum(0, n, k, bound) == ZERO
+    # 1 + t is not a multiple of 1 + t + t^2: the integer division leaves a remainder
+    k = (7 * 2).bit_length() + 1
+    with pytest.raises(InexactDivisionError, match="not exact"):
+        divide_by_strand_sum(packed({0: 1, 1: 1}, k), 3, k, 2)
+    # at K2 = 4 and bound 1, 2 * 17 and 5 * 17 are multiples of [2](16) = 17, but
+    # only the quotient digit 2 is within 2 * bound; the digit 5 is rejected
+    assert divide_by_strand_sum(2 * 17, 2, 4, 1) == P({0: 2})
+    with pytest.raises(InexactDivisionError, match="not exact"):
+        divide_by_strand_sum(5 * 17, 2, 4, 1)
 
 
 def test_pow_and_evaluate():
     assert poly_pow(T(1) + ONE, 3) == P({0: 1, 1: 3, 2: 3, 3: 1})
     assert poly_pow(T(1) + ONE, 0) == ONE
-    assert P({-1: 1, 2: 3}).evaluate(2) == 12.5
+    assert evaluate(P({-1: 1, 2: 3}), 2) == 12.5
 
 
 def test_poly_text():
@@ -133,10 +160,10 @@ def test_ring_axioms(a, b, c):
 def test_determinant_multiplicative(xs, ys):
     a = PolyMatrix.from_rows([xs[0:2], xs[2:4]])
     b = PolyMatrix.from_rows([ys[0:2], ys[2:4]])
-    assert determinant(a * b) == determinant(a) * determinant(b)
+    assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
     a3 = PolyMatrix.from_rows([xs[0:2] + [xs[4]], xs[2:4] + [xs[5]], [xs[6], xs[7], ys[4]]])
     b3 = PolyMatrix.from_rows([ys[0:2] + [ys[5]], ys[2:4] + [ys[6]], [ys[7], xs[6], xs[7]]])
-    assert determinant(a3 * b3) == determinant(a3) * determinant(b3)
+    assert determinant(matmul(a3, b3)) == determinant(a3) * determinant(b3)
 
 
 @settings(max_examples=120)
