@@ -17,29 +17,29 @@ t^(k/4)), which keeps links with half-integer powers exact.
 
 Every word, positive or signed, takes the same exact path to Alexander, on
 packed integers from the first letter to the quotient: the Burau columns are
-updated as integers packed at t = 2^K1; one digit pass reads their
-coefficients, lowest exponents and norms; the product minus the identity is
-repacked at a second width K2 for one integer determinant; and the division
-by 1 + t + ... + t^(n-1) is one integer division whose quotient is unpacked
-once.  These widths and the Jones one come from proved bounds on coefficient
-size (see alexander, laurent.divide_by_strand_sum and jones), so the recovery
-of coefficients is exact, never heuristic.
+updated as integers packed at t = 2^K1, K1 set by one norm bound per column;
+one digit pass reads their coefficients and lowest exponents;
+laurent.packed_determinant repacks the product minus the identity for one
+integer determinant; and the division by 1 + t + ... + t^(n-1) is one
+integer division whose quotient is unpacked once.  These widths and the
+Jones one come from proved bounds on coefficient size (see _burau_columns,
+laurent.packed_determinant, laurent.divide_by_strand_sum and jones), so the
+recovery of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
 from .braid import BraidWord, torus_braid
 from .garside import braid_index_by_full_twist
 from .laurent import (
     LaurentPoly,
     PolyMatrix,
-    balanced_digits,
+    digits_of,
     divide_by_strand_sum,
-    int_determinant,
+    packed_determinant,
     unpack,
 )
 
@@ -74,19 +74,22 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
     the matrix counts as zero.  The matrix of sigma_i^-1 has entries t^-1, so
     an inverse letter is applied as t*sigma_i^-1 instead: column c becomes
     t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t,
-    a shift by K1 bits.  Before the product, a recurrence on packed norms
-    fixes K1; both widths are proved in alexander.
+    a shift by K1 bits.
+
+    Burau width K1.  One integer M_c per column, from 1 (the identity),
+    bounds the l1 norm of every entry of column c: an update adds three
+    neighbours times monomials of coefficient +-1, so the new M_c is at most
+    M_(c-1) + M_c + M_(c+1), and a shift by t keeps a bound.  With B = max M_c,
+    every coefficient of t^neg rho(w) minus the identity is at most
+    B + 1 < 2^(K1-1) for K1 = bit_length(B + 1) + 1 (laurent.balanced_digits).
     """
     m = w.strands - 1
     letters = w.letters
-    width = 2 * len(letters) + 2
     # a zero column on each side, so that column c = i - 1 sits at index i
-    norms = [0] + [1 << width * c for c in range(m)] + [0]
+    norms = [0] + [1] * m + [0]
     for i in map(abs, letters):
         norms[i] += norms[i - 1] + norms[i + 1]
-    slot = (1 << width) - 1
-    bound = max(col >> width * r & slot for col in norms for r in range(m))
-    k = (bound + 1).bit_length() + 1
+    k = (max(norms) + 1).bit_length() + 1
 
     zero = [0] * m
     cols = [zero] + [[int(r == c) for r in range(m)] for c in range(m)] + [zero]
@@ -124,83 +127,23 @@ def alexander(w: BraidWord) -> LaurentPoly:
     One packed pipeline; no polynomial is built before the quotient.  The
     Burau columns of t^neg rho(w) come packed at t = 2^K1 (_burau_columns),
     and t^neg, packed as 1 << K1 neg, is subtracted from each diagonal entry.
-    One digit pass splits every entry into its balanced base-2^K1 digits, its
-    coefficients, and gives each entry's lowest exponent and l1 norm.
-    Each column, then each row, is divided by the power of t that brings its
-    lowest exponent to 0, which changes the determinant by a unit.  The
-    columns are packed at t = 2^K2 as the rows of the transpose, which has
-    the same determinant, for one integer Bareiss determinant D.  D is
-    divided by [n]_t = 1 + t + ... + t^(n-1) in packed form
-    (laurent.divide_by_strand_sum), which unpacks the quotient once and
-    raises InexactDivisionError unless the division is exact.
-
-    Norm slots.  A bound on the l1 norm of each Burau entry is tracked from
-    the identity: an update adds three neighbours with monomial multipliers of
-    coefficient +-1, so by the triangle inequality the new norm is at most the
-    sum of theirs, and multiplying by t keeps a norm.  A norm at most triples
-    per letter, so after L letters it is at most 3^L < 2^W, W = 2L + 2.  A
-    column of norms is one integer with row r in bits [W r, W (r + 1)), so
-    the sum of three columns adds slot by slot and no carry crosses a slot.
-
-    Burau width K1.  The recurrence is the same for both signs, so every
-    coefficient of t^neg rho(w) is at most the largest tracked norm B, and
-    after the identity is subtracted at most B + 1 < 2^bit_length(B + 1).
-    K1 = bit_length(B + 1) + 1 therefore recovers every coefficient
-    (laurent.balanced_digits).
-
-    Determinant width K2.  With N_rc the true l1 norm of entry (r, c), the
-    l1 norm of the determinant is at most the product of the row sums of N
-    (see laurent.determinant), and by the same argument on the transpose at
-    most the product of the column sums; B2 is the smaller product, and
-    shifts by powers of t change no norm.  K2 = bit_length((2n+1) B2) + 1
-    gives (2n+1) B2 < 2^(K2-1), the width divide_by_strand_sum needs.
+    One digit pass (laurent.digits_of) reads every entry.  The columns, the
+    rows of the transpose, which has the same determinant, go to
+    laurent.packed_determinant with the slack 2n + 1 that
+    laurent.divide_by_strand_sum needs to divide by [n]_t = 1 + t + ... +
+    t^(n-1) in packed form, unpack the quotient once and raise
+    InexactDivisionError unless the division is exact.  The determinant's
+    shift by a power of t is a unit and drops out in the normalization.
     """
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
     cols, k, neg = _burau_columns(w)
     one = 1 << k * neg
-    # digit_cols[c][r] is (lowest exponent, digits) of entry (r, c), or None for 0
-    digit_cols: list[list[tuple[int, list[int]] | None]] = []
-    col_norms = [0] * (n - 1)
-    row_norms = [0] * (n - 1)
     for c, col in enumerate(cols):
         col[c] -= one
-        entries: list[tuple[int, list[int]] | None] = []
-        for r, v in enumerate(col):
-            if not v:
-                entries.append(None)
-                continue
-            low = ((v & -v).bit_length() - 1) // k
-            digits = balanced_digits(v >> k * low, k)
-            norm = sum(map(abs, digits))
-            col_norms[c] += norm
-            row_norms[r] += norm
-            entries.append((low, digits))
-        digit_cols.append(entries)
-    bound = min(prod(col_norms), prod(row_norms))
-    if not bound:  # a zero row or column
-        return LaurentPoly.zero()
-    col_lows = [min(e[0] for e in col if e) for col in digit_cols]
-    row_lows = [
-        min(col[r][0] - low for col, low in zip(digit_cols, col_lows) if col[r])
-        for r in range(n - 1)
-    ]
-
-    k2 = ((2 * n + 1) * bound).bit_length() + 1
-    packed = []
-    for col, col_low in zip(digit_cols, col_lows):
-        out = []
-        for entry, row_low in zip(col, row_lows):
-            value = 0
-            if entry:
-                low, digits = entry
-                for d in reversed(digits):
-                    value = (value << k2) + d
-                value <<= k2 * (low - col_low - row_low)
-            out.append(value)
-        packed.append(out)
-    det = int_determinant(packed)
+    digit_cols = [[digits_of(v, k) for v in col] for col in cols]
+    det, k2, bound, _ = packed_determinant(digit_cols, 2 * n + 1)
     if not det:
         return LaurentPoly.zero()
     return divide_by_strand_sum(det, n, k2, bound).unit_normalized()

@@ -10,9 +10,10 @@ unpacked.
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
 balanced base-2^k digits when k exceeds their bit length.  On packed
-integers it provides the one fraction-free integer determinant, used by
-determinant and by the Alexander pipeline, and exact division by
-1 + t + ... + t^(n-1) as one integer division.
+integers it provides the one determinant, packed_determinant, which picks
+its digit width from a proved norm bound and serves both determinant and
+the Alexander pipeline, and exact division by 1 + t + ... + t^(n-1) as one
+integer division.
 """
 
 from __future__ import annotations
@@ -300,29 +301,75 @@ def int_determinant(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant, as one integer determinant at t = 2^k.
+def digits_of(value: int, k: int) -> tuple[int, list[int]] | None:
+    """(lowest exponent, balanced digits from it up) of a polynomial packed at t = 2^k.
 
-    Row i is multiplied by t^-low_i, low_i its lowest exponent, so that every
-    entry is a polynomial; the determinant is t^(sum low_i) times that of the
-    shifted matrix, which is packed at t = 2^k, reduced by integer Bareiss
-    and unpacked.
-
-    Digit width.  Let N_ij be the l1 norm (sum of absolute coefficients) of
-    entry (i, j); shifting a row leaves it unchanged.  The l1 norm is
-    subadditive and submultiplicative, so the Leibniz expansion
-    det = sum_s sgn(s) prod_i a_{i,s(i)} gives, for every coefficient c of
-    the determinant, |c| <= ||det||_1 <= perm(N) <= prod_i sum_j N_ij = B;
-    the last step holds because expanding the product of the row sums yields
-    every permutation term of perm(N) plus further nonnegative terms.  Hence
-    k = bit_length(B) + 1 recovers the coefficients exactly (see unpack).  A
-    zero row gives B = 0 and a zero integer determinant.
+    value packs it from t^0 up, every |coefficient| < 2^(k-1), so its lowest
+    term c_e 2^(k e) has fewer than k trailing zero bits beyond k e, which
+    gives e.  None stands for 0.
     """
-    lows = [min((e for p in row for e in p._coeffs), default=0) for row in m.entries]
-    bound = prod(sum(abs(c) for p in row for c in p._coeffs.values()) for row in m.entries)
-    k = bound.bit_length() + 1
-    packed = [
-        [sum(c << k * (e - low) for e, c in p._coeffs.items()) for p in row]
-        for row, low in zip(m.entries, lows)
+    if not value:
+        return None
+    low = ((value & -value).bit_length() - 1) // k
+    return low, balanced_digits(value >> k * low, k)
+
+
+def packed_determinant(
+    rows: list[list[tuple[int, list[int]] | None]], slack: int
+) -> tuple[int, int, int, int]:
+    """One integer determinant of a polynomial matrix, packed at t = 2^k.
+
+    Entry (i, j) is (lowest exponent, coefficients from it up) or None for 0.
+    Returns (D, k, bound, low): the determinant is t^low times the polynomial
+    that D packs at t = 2^k from t^0 up, its l1 norm is at most bound, and
+    slack bound < 2^(k-1).  With slack = 1, unpack(D, k, low) is the
+    determinant; divide_by_strand_sum needs slack = 2n + 1.  Each row, then
+    each column, is shifted by a power of t to lowest exponent 0, which
+    divides the determinant by t^low, before it is packed for int_determinant.
+
+    Digit width.  With N_ij the l1 norm of entry (i, j), which the shifts
+    keep, the Leibniz expansion and the subadditive, submultiplicative l1
+    norm give ||det||_1 <= perm(N) <= prod_i sum_j N_ij: expanding the
+    product of the row sums yields every term of perm(N) and more
+    nonnegative ones.  On the transpose the same holds for the column sums,
+    and bound is the smaller product.  So every coefficient c of the
+    determinant has |c| <= slack bound < 2^(k-1) for k = bit_length(slack
+    bound) + 1, which recovers it (balanced_digits).  A zero row or column
+    gives bound = 0 and D = 0.
+    """
+    norms = [[sum(map(abs, e[1])) if e else 0 for e in row] for row in rows]
+    bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
+    if not bound:
+        return 0, 1, 0, 0
+    row_lows = [min(e[0] for e in row if e) for row in rows]
+    col_lows = [
+        min(row[j][0] - low for row, low in zip(rows, row_lows) if row[j])
+        for j in range(len(rows))
     ]
-    return unpack(int_determinant(packed), k, sum(lows))
+    k = (slack * bound).bit_length() + 1
+    packed = []
+    for row, row_low in zip(rows, row_lows):
+        out = []
+        for entry, col_low in zip(row, col_lows):
+            value = 0
+            if entry:
+                low, digits = entry
+                for d in reversed(digits):
+                    value = (value << k) + d
+                value <<= k * (low - row_low - col_low)
+            out.append(value)
+        packed.append(out)
+    return int_determinant(packed), k, bound, sum(row_lows) + sum(col_lows)
+
+
+def determinant(m: PolyMatrix) -> LaurentPoly:
+    """Exact determinant, as one packed integer determinant (packed_determinant)."""
+    rows = [
+        [
+            (p.min_exp, [p._coeffs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1)]) if p else None
+            for p in row
+        ]
+        for row in m.entries
+    ]
+    det, k, _, low = packed_determinant(rows, 1)
+    return unpack(det, k, low)

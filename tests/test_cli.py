@@ -10,6 +10,7 @@ from tlinks.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_LETTERS,
     MAX_STRANDS,
     main,
 )
@@ -97,6 +98,31 @@ def test_oversized_strand_count_rejected_before_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "invariants", f"n={MAX_STRANDS}:")
     assert code == EXIT_OK
     assert f"components:  {MAX_STRANDS}" in out
+
+
+def test_oversized_letter_count_rejected_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the word was built or computed on")
+
+    over = "n=2: " + ",".join(["1"] * (MAX_LETTERS + 1))
+    at_limit = "n=2: " + ",".join(["1"] * MAX_LETTERS)
+    monkeypatch.setattr(cli, "bundle", no_work)
+    monkeypatch.setattr(cli, "certify", no_work)
+    monkeypatch.setattr(cli, "standard_braid", no_work)
+    for argv in [
+        ("invariants", "T((3,1000000000))"),
+        ("certify", "T((3,1000000000))"),
+        ("invariants", over),
+        ("certify", over),
+        ("invariants", f"T((2,3),(3,{MAX_LETTERS // 2 + 1}))"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"letters is more than the limit of {MAX_LETTERS}" in err
+    assert "2000000000 letters" in run(capsys, "invariants", "T((3,1000000000))")[2]
+    monkeypatch.undo()
+    assert len(cli._input_word(at_limit).letters) == MAX_LETTERS
+    assert len(cli._input_word(f"T((2,{MAX_LETTERS}))").letters) == MAX_LETTERS
 
 
 def test_certify_rejects_negative(capsys):

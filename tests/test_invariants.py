@@ -18,6 +18,7 @@ from _oracles import (
 )
 from tlinks.braid import BraidWord, torus_braid
 from tlinks.invariants import (
+    _burau_columns,
     alexander,
     bundle,
     euler_char,
@@ -94,6 +95,28 @@ def test_packed_burau_matches_generator_product():
             assert burau == burau_product(w)
             minus_identity = matsub(burau, identity_matrix(n - 1))
             assert determinant(minus_identity) == leibniz_determinant(minus_identity)
+
+
+def test_burau_width_bounds_every_coefficient():
+    # every coefficient of t^neg (rho(w) - I), the matrix alexander unpacks at
+    # t = 2^K1, must lie in the balanced digit range |c| < 2^(K1-1)
+    random.seed(20261018)
+    cases = []
+    for signs in ((1,), (1, -1)):
+        for _ in range(20):
+            n = random.randint(2, 8)
+            length = random.randint(0, 150)
+            letters = tuple(random.choice(signs) * random.randint(1, n - 1) for _ in range(length))
+            cases.append(BraidWord(n, letters))
+    for w in cases:
+        _, k, neg = _burau_columns(w)
+        unit = LaurentPoly.t(neg)
+        m = w.strands - 1
+        rows = burau_product(w).entries
+        for r in range(m):
+            for c in range(m):
+                entry = rows[r][c].shifted(neg) - (unit if r == c else LaurentPoly.zero())
+                assert all(abs(x) < 1 << k - 1 for _, x in entry.terms())
 
 
 def test_alexander_matches_leibniz_oracle():

@@ -72,6 +72,9 @@ def test_determinant_matches_leibniz_oracle():
         [[P({0: big, 1: big}), P({0: big})], [P({0: -big}), P({0: big, 1: -big})]],
         # the digit-width bound attained: det = 2^200 = product of the row norms
         [[P({0: big}), ZERO], [ZERO, P({0: big})]],
+        # the column-norm product 2^101 is far below the row-norm product
+        # 2^100 (2^100 + 1), so the narrower column width is the one checked
+        [[P({0: big}), ZERO], [P({0: big}), ONE]],
     ]
     for rows in cases:
         m = PolyMatrix.from_rows(rows)
