@@ -10,6 +10,7 @@ composition convention is shared by every module that consumes braid words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -167,6 +168,42 @@ def torus_braid(p: int, q: int) -> BraidWord:
         raise ValueError("torus parameters must be positive")
     run = tuple(range(1, q))
     return BraidWord(q, run * p)
+
+
+def split_full_twists(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """(j, rest): the literal full twists of w removed, j of them.
+
+    The full twist Delta^2 = (sigma_1...sigma_{n-1})^n is central, so
+    w = A Delta^2 B equals Delta^2 A B.  Scanning left to right, each literal
+    block (1, ..., n-1) * n that does not overlap an earlier one is removed;
+    w equals Delta^(2j) times the braid of the remaining letters.  Inverse
+    letters are kept as they are.  Candidate starts are found with
+    tuple.index, so the scan runs at C speed between occurrences of sigma_1.
+    """
+    n, letters = w.strands, w.letters
+    size = n * (n - 1)
+    if n < 2 or len(letters) < size:
+        return 0, letters
+    run = tuple(range(1, n))
+    block = run * n
+    kept: list[tuple[int, ...]] = []  # the letters before each block
+    last = start = 0
+    stop = len(letters) - size + 1  # a block must start before stop
+    try:
+        while True:
+            start = letters.index(1, start, stop)
+            # the short first test spares most candidates a block-sized slice
+            if letters[start : start + n - 1] == run and letters[start : start + size] == block:
+                kept.append(letters[last:start])
+                start = last = start + size
+            else:
+                start += 1
+    except ValueError:
+        pass
+    j = len(kept)
+    if not j:
+        return 0, letters
+    return j, tuple(chain.from_iterable(kept + [letters[last:]]))
 
 
 def braid_text(w: BraidWord) -> str:

@@ -8,7 +8,9 @@ the right factor is contained in the finishing set of the left factor.  Equal
 positive words get identical normal forms, which settles the word problem and
 makes "contains a full twist" decidable as infimum >= 2.  The full-twist test
 feeds the braid-index criterion for positive braids: an n-strand positive
-braid containing Delta^2 has braid index exactly n.
+braid containing Delta^2 has braid index exactly n.  It looks for a literal
+Delta^2 factor first, which settles every sweep word and torus braid without
+a normal form.
 
 The form is built incrementally (El-Rifai & Morton 1994, "Algorithms for
 positive braids"; Epstein et al., *Word Processing in Groups*, ch. 9): the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braid import BraidWord, Permutation
+from .braid import BraidWord, Permutation, split_full_twists
 
 
 def _descents(images: Sequence[int]) -> set[int]:
@@ -182,14 +184,19 @@ def infimum(w: BraidWord) -> int:
 def contains_full_twist(w: BraidWord) -> bool:
     """Whether the full twist Delta^2 left-divides the positive word.
 
-    Detection goes through the Garside infimum, not substring search: Delta^2
-    can be hidden by braid relations, e.g. (sigma_1 sigma_2)^3 on 3 strands.
-    On a single strand the test is vacuously true (the closure is an unknot
-    and the empty full twist divides everything).
+    Literal factor first, then the infimum.  Delta^2 is central, so a literal
+    block (sigma_1...sigma_{n-1})^n anywhere in w = A Delta^2 B gives
+    w = Delta^2 A B, and Delta^2 left-divides w (braid.split_full_twists).
+    Otherwise the Garside infimum decides, since Delta^2 can be hidden by
+    braid relations, e.g. (sigma_2 sigma_1)^3 on 3 strands.  On a single
+    strand the test is vacuously true (the closure is an unknot and the empty
+    full twist divides everything).
     """
+    if not w.is_positive:
+        raise ValueError("the full-twist test is defined here for positive words only")
     if w.strands == 1:
         return True
-    return infimum(w) >= 2
+    return split_full_twists(w)[0] >= 1 or infimum(w) >= 2
 
 
 def braid_index_by_full_twist(w: BraidWord) -> int | None:

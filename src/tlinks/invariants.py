@@ -11,28 +11,34 @@ Four engines feed one bundle per word:
 * the Jones polynomial through the Kauffman bracket, one integer packed at
   t^(1/2) = 2^K per planar-matching bucket, under a crossing guard.
 
+Torus references (torus_reference), the one cache, compute each invariant
+on its first read, so a candidate settled by the braid index never builds
+an Alexander or Jones polynomial.
+
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
 t^(k/4)), which keeps links with half-integer powers exact.
 
 Every word, positive or signed, takes the same exact path to Alexander, on
-packed integers from the first letter to the quotient: the Burau columns are
-updated as integers packed at t = 2^K1, K1 set by one norm bound per column;
-one digit pass reads their coefficients and lowest exponents;
-laurent.packed_determinant repacks the product minus the identity for one
-integer determinant; and the division by 1 + t + ... + t^(n-1) is one
-integer division whose quotient is unpacked once.  These widths and the
-Jones one come from proved bounds on coefficient size (see _burau_columns,
-laurent.packed_determinant, laurent.divide_by_strand_sum and jones), so the
-recovery of coefficients is exact, never heuristic.
+packed integers from the first letter to the quotient: literal full twists
+are split off and become one shift by a power of t, since rho(Delta^2) =
+t^n I; the Burau columns of the other letters are updated as integers
+packed at t = 2^K1, K1 set by one norm bound per column; one digit pass
+reads their coefficients and lowest exponents; laurent.packed_determinant
+repacks the product minus the identity for one integer determinant; and the
+division by 1 + t + ... + t^(n-1) is one integer division whose quotient is
+unpacked once.  These widths and the Jones one come from proved bounds on
+coefficient size (see _burau_columns, laurent.packed_determinant,
+laurent.divide_by_strand_sum and jones), so the recovery of coefficients is
+exact, never heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .braid import BraidWord, torus_braid
+from .braid import BraidWord, split_full_twists, torus_braid
 from .garside import braid_index_by_full_twist
 from .laurent import (
     LaurentPoly,
@@ -76,15 +82,29 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
     t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t,
     a shift by K1 bits.
 
+    Full twists.  The updates run only on the letters left once the j literal
+    full twists are split off (braid.split_full_twists), w = Delta^(2j) rest.
+    rho(Delta^2) = t^n I.  Delta^2 is central and at generic t the reduced
+    Burau representation is irreducible over an algebraically closed field
+    (over C whenever t is not a root of [n]_t; Formanek 1996), so by Schur's
+    lemma rho(Delta^2) is a scalar c.  det rho(sigma_i) = -t and Delta^2 has
+    n(n-1) letters, so c^(n-1) = t^(n(n-1)) and c = +-t^n; at t = 1, rho
+    factors through the symmetric group, where Delta^2 is the identity, so
+    c = t^n.  Hence rho(w) = t^(nj) rho(rest): the columns are shifted by
+    n j K1 bits at the end, and neg, the inverse letters of rest, counts all
+    of w's.
+
     Burau width K1.  One integer M_c per column, from 1 (the identity),
     bounds the l1 norm of every entry of column c: an update adds three
     neighbours times monomials of coefficient +-1, so the new M_c is at most
-    M_(c-1) + M_c + M_(c+1), and a shift by t keeps a bound.  With B = max M_c,
-    every coefficient of t^neg rho(w) minus the identity is at most
-    B + 1 < 2^(K1-1) for K1 = bit_length(B + 1) + 1 (laurent.balanced_digits).
+    M_(c-1) + M_c + M_(c+1), and a shift by t keeps a bound.  With B = max M_c
+    over the letters of rest, every coefficient of t^neg rho(rest) minus the
+    identity is at most B + 1 < 2^(K1-1) for K1 = bit_length(B + 1) + 1
+    (laurent.balanced_digits).  The factor t^(nj) is a monomial, so it keeps
+    every l1 norm and the same bound holds for t^neg rho(w) minus the identity.
     """
     m = w.strands - 1
-    letters = w.letters
+    twists, letters = split_full_twists(w)
     # a zero column on each side, so that column c = i - 1 sits at index i
     norms = [0] + [1] * m + [0]
     for i in map(abs, letters):
@@ -104,7 +124,11 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
             cols = [[x << k for x in other] for other in cols]
             cols[i] = [(a << k) - b + d for a, b, d in zip(left, col, right)]
             neg += 1
-    return cols[1:-1], k, neg
+    cols = cols[1:-1]
+    if twists:
+        shift = (m + 1) * twists * k
+        cols = [[x << shift for x in col] for col in cols]
+    return cols, k, neg
 
 
 def reduced_burau(w: BraidWord) -> PolyMatrix:
@@ -254,19 +278,52 @@ def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
     )
 
 
+class TorusReference:
+    """Invariant bundle of T(p, q) whose costly fields are computed when first read.
+
+    It has the field names of InvariantBundle.  components, letters and
+    euler_char are set at once; braid_index, alexander and jones each run
+    their engine on (sigma_1...sigma_{q-1})^p on its first read and keep the
+    value.  A certificate reads the braid index first and stops at the first
+    mismatch, so most references never build an Alexander or Jones polynomial.
+    """
+
+    def __init__(self, p: int, q: int, guard: int):
+        self.p, self.q, self.guard = p, q, guard
+        w = torus_braid(p, q)
+        self.components = w.component_count()
+        self.letters = len(w.letters)
+        self.euler_char = euler_char(w)
+
+    @cached_property
+    def braid_index(self) -> int | None:
+        return braid_index_by_full_twist(torus_braid(self.p, self.q))
+
+    @cached_property
+    def alexander(self) -> LaurentPoly:
+        return alexander(torus_braid(self.p, self.q))
+
+    @cached_property
+    def jones(self) -> LaurentPoly | None:
+        return jones(torus_braid(self.p, self.q), self.guard)
+
+
 @lru_cache(maxsize=None)
-def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
+def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> TorusReference:
     """Invariant bundle of the torus link T(p, q), computed by self-application.
 
     Runs the engines on the standard braid (sigma_1...sigma_{q-1})^p on q
     strands (callers pass q <= p, so this is the cheaper presentation) rather
     than trusting closed-form tables; the Alexander closed form survives only
-    as an independent cross-check in the test suite.
+    as an independent cross-check in the test suite.  Each invariant is
+    computed on its first read (TorusReference).
 
     This is the one cached engine.  Its keys are the (p, q, guard) candidates
     of a sweep grid, a small set (428 at p <= 9) that every row's
     certificate draws on again, so most calls hit (83% of the p <= 9 sweep).
+    Lazy fields keep each cached entry small: at p <= 9, 373 of the 428
+    references are settled by the braid index alone.
     """
     if not 1 <= q <= p:
         raise ValueError("torus reference expects 1 <= q <= p")
-    return bundle(torus_braid(p, q), guard)
+    return TorusReference(p, q, guard)

@@ -9,6 +9,7 @@ from tlinks.braid import (
     Permutation,
     braid_text,
     parse_braid_text,
+    split_full_twists,
     torus_braid,
 )
 
@@ -146,3 +147,32 @@ def test_permutation_type():
     assert p.inverse().images == (3, 1, 2)
     assert p.then(p.inverse()).is_identity()
     assert p.cycles() == [(1, 2, 3)]
+
+
+def test_split_full_twists_edge_cases():
+    twist3 = (1, 2) * 3
+    # one strand: the full twist is empty and nothing is split off
+    assert split_full_twists(BraidWord(1, ())) == (0, ())
+    # two strands: the full twist is sigma_1^2
+    assert split_full_twists(BraidWord(2, (1, 1, 1))) == (1, (1,))
+    assert split_full_twists(BraidWord(2, (1, 1, 1, 1))) == (2, ())
+    assert split_full_twists(BraidWord(2, (1, -1, 1))) == (0, (1, -1, 1))
+    # fewer letters than one block
+    assert split_full_twists(BraidWord(3, (1, 2, 1, 2, 1))) == (0, (1, 2, 1, 2, 1))
+    assert split_full_twists(BraidWord(4, twist3)) == (0, twist3)
+    # adjacent blocks, and a third block overlapping the second by one letter
+    assert split_full_twists(BraidWord(3, twist3 * 2)) == (2, ())
+    assert split_full_twists(BraidWord(3, twist3 + (1, 2) * 2 + (1,))) == (1, (1, 2, 1, 2, 1))
+    assert split_full_twists(BraidWord(3, (2,) + twist3 + (1,) + twist3)) == (2, (2, 1))
+    # a block split by one letter is not removed (a sigma_1 after its first
+    # letter would start a block there, so that cut gets sigma_(n-1))
+    for n in (3, 4, 5):
+        block = tuple(range(1, n)) * n
+        for cut in (1, len(block) // 2, len(block) - 1):
+            letters = block[:cut] + (n - 1 if cut == 1 else 1,) + block[cut:]
+            assert split_full_twists(BraidWord(n, letters)) == (0, letters)
+    # signed words: positive blocks go, inverse letters and inverse blocks stay
+    assert split_full_twists(BraidWord(3, (-1,) + twist3 + (-2,))) == (1, (-1, -2))
+    inverse = tuple(-e for e in twist3)
+    assert split_full_twists(BraidWord(3, inverse)) == (0, inverse)
+    assert split_full_twists(BraidWord(3, (1, -2) + twist3 * 2 + (2, -1))) == (2, (1, -2, 2, -1))

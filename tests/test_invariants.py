@@ -16,7 +16,7 @@ from _oracles import (
     torus_alexander_closed_form,
     torus_jones_closed_form,
 )
-from tlinks.braid import BraidWord, torus_braid
+from tlinks.braid import BraidWord, split_full_twists, torus_braid
 from tlinks.invariants import (
     _burau_columns,
     alexander,
@@ -26,7 +26,7 @@ from tlinks.invariants import (
     reduced_burau,
     torus_reference,
 )
-from tlinks.laurent import LaurentPoly, determinant
+from tlinks.laurent import LaurentPoly, PolyMatrix, determinant
 from tlinks.tlink import FullTwistForm, absorb_strands
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -97,9 +97,67 @@ def test_packed_burau_matches_generator_product():
             assert determinant(minus_identity) == leibniz_determinant(minus_identity)
 
 
+def full_twist(n):
+    return tuple(range(1, n)) * n
+
+
+def words_with_full_twists(seed, count=60):
+    """Signed and positive words of 2-8 strands with 1-3 literal full twists inserted.
+
+    Cycles through a block at the front, a block at the back, two adjacent
+    blocks and blocks at random places.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        signs = (1,) if i % 2 else (1, -1)
+        n = rng.randint(2, 8)
+        twist = full_twist(n)
+        letters = [rng.choice(signs) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 20))]
+        kind = i // 2 % 4
+        placed = (1, 1, 2, 0)[kind]
+        if kind == 0:
+            letters[:0] = twist
+        elif kind == 1:
+            letters += twist
+        elif kind == 2:
+            pos = rng.randint(0, len(letters))
+            letters[pos:pos] = twist * 2
+        for _ in range(rng.randint(max(placed, 1), 3) - placed):
+            pos = rng.randint(0, len(letters))
+            letters[pos:pos] = twist
+        cases.append(BraidWord(n, tuple(letters)))
+    return cases
+
+
+def test_full_twist_burau_is_scalar():
+    # rho(Delta^2) = t^n I, both from the packed columns and from the oracle product
+    for n in range(2, 10):
+        m = n - 1
+        scalar = PolyMatrix.from_rows(
+            [LaurentPoly.t(n) if r == c else LaurentPoly.zero() for c in range(m)] for r in range(m)
+        )
+        w = BraidWord(n, full_twist(n))
+        assert split_full_twists(w) == (1, ())
+        assert reduced_burau(w) == scalar
+        assert burau_product(w) == scalar
+
+
+def test_burau_and_alexander_with_full_twists_match_oracles():
+    for w in words_with_full_twists(20261021):
+        burau = burau_product(w)
+        assert reduced_burau(w) == burau
+        m = w.strands - 1
+        det = leibniz_determinant(matsub(burau, identity_matrix(m)))
+        strand_sum = LaurentPoly({e: 1 for e in range(w.strands)})
+        expected = divide_exact(det, strand_sum).unit_normalized() if det else det
+        assert alexander(w) == expected
+
+
 def test_burau_width_bounds_every_coefficient():
     # every coefficient of t^neg (rho(w) - I), the matrix alexander unpacks at
-    # t = 2^K1, must lie in the balanced digit range |c| < 2^(K1-1)
+    # t = 2^K1, must lie in the balanced digit range |c| < 2^(K1-1), also when
+    # K1 comes from the letters left after the full twists are split off
     random.seed(20261018)
     cases = []
     for signs in ((1,), (1, -1)):
@@ -108,6 +166,7 @@ def test_burau_width_bounds_every_coefficient():
             length = random.randint(0, 150)
             letters = tuple(random.choice(signs) * random.randint(1, n - 1) for _ in range(length))
             cases.append(BraidWord(n, letters))
+    cases += words_with_full_twists(20261022, count=24)
     for w in cases:
         _, k, neg = _burau_columns(w)
         unit = LaurentPoly.t(neg)

@@ -1,17 +1,20 @@
 import pytest
 
+import tlinks.invariants as invariants
 from _oracles import enumerate_torus_candidates, torus_alexander_closed_form
 from tlinks.braid import BraidWord, torus_braid
-from tlinks.invariants import alexander, bundle
+from tlinks.invariants import alexander, bundle, torus_reference
 from tlinks.oracle import (
     INCONCLUSIVE,
     NOT_TORUS,
     REASON_ALEXANDER,
     REASON_BRAID_INDEX,
+    REASON_COMPONENTS,
     REASON_MATCHED,
     TORUS_MATCH,
     candidate_torus_params,
     certify,
+    certify_bundle,
     cross_validate,
     enumerate_forms,
     presentation_word,
@@ -51,6 +54,41 @@ def test_certify_rewritten_word_eliminated_by_braid_index():
     assert cert.kind == NOT_TORUS
     reasons = {(c.p, c.q): c.reason for c in cert.candidates}
     assert reasons[(11, 2)] == REASON_BRAID_INDEX
+
+
+def test_torus_references_compute_invariants_on_demand(monkeypatch):
+    # T(11,2) falls to the component count and T(6,3), the one reference read,
+    # to the braid index (3 against 4), so no reference may build an Alexander
+    # or Jones polynomial
+    w = BraidWord(4, (1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1))
+    b = bundle(w)
+    expected = alexander(torus_braid(6, 3))
+    torus_reference.cache_clear()
+    calls = []
+
+    def counted(name):
+        engine = getattr(invariants, name)
+
+        def run(*args):
+            calls.append(name)
+            return engine(*args)
+
+        return run
+
+    for name in ("alexander", "jones"):
+        monkeypatch.setattr(invariants, name, counted(name))
+    cert = certify_bundle(b)
+    assert cert.kind == NOT_TORUS
+    assert [(c.p, c.q, c.reason) for c in cert.candidates] == [
+        (11, 2, REASON_COMPONENTS),
+        (6, 3, REASON_BRAID_INDEX),
+    ]
+    assert calls == []
+    # a later read of a lazy field runs its engine once and keeps the value
+    ref = torus_reference(6, 3)
+    assert ref.alexander == expected
+    assert ref.alexander is ref.alexander
+    assert calls == ["alexander"]
 
 
 def test_certify_standard_word_of_gcd_case():
