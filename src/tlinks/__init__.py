@@ -33,10 +33,9 @@ from .invariants import (
     bundle,
     euler_char,
     jones,
-    reduced_burau,
     torus_reference,
 )
-from .laurent import LaurentPoly, PolyMatrix, determinant, poly_text
+from .laurent import LaurentPoly, poly_text
 from .oracle import (
     INCONCLUSIVE,
     NOT_TORUS,

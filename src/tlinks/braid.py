@@ -36,12 +36,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite in diagram order: apply self first, then other."""
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[other.images[j] - 1] for j in range(self.size)))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, img in enumerate(self.images, start=1):
@@ -87,19 +81,24 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("strand count must be at least 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for pos, e in enumerate(self.letters):
-            if e == 0 or abs(e) > self.strands - 1:
-                raise ValueError(
-                    f"letter {e} at index {pos} out of range for {self.strands} strands"
-                )
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        # max, min and `in` run at C speed; the letters are walked only to
+        # name the first bad one
+        top = self.strands - 1
+        if letters and (max(letters) > top or min(letters) < -top or 0 in letters):
+            for pos, e in enumerate(letters):
+                if e == 0 or abs(e) > top:
+                    raise ValueError(
+                        f"letter {e} at index {pos} out of range for {self.strands} strands"
+                    )
 
     def __len__(self) -> int:
         return len(self.letters)
 
     @property
     def is_positive(self) -> bool:
-        return all(e > 0 for e in self.letters)
+        return not self.letters or min(self.letters) > 0
 
     def letter_stats(self) -> LetterStats:
         pos = sum(1 for e in self.letters if e > 0)

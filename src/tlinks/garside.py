@@ -26,18 +26,8 @@ one generator costs O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .braid import BraidWord, Permutation, split_full_twists
-
-
-def _descents(images: Sequence[int]) -> set[int]:
-    """Generators g with sigma_g a left divisor of the permutation braid with these images.
-
-    That is the g with images[g-1] > images[g].  Only the order of the images
-    matters, so 0-based and 1-based image lists give the same set.
-    """
-    return {g for g in range(1, len(images)) if images[g - 1] > images[g]}
 
 
 def _times(p: list[int], inv: list[int], g: int) -> None:
@@ -73,16 +63,6 @@ def _left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bo
     return grew
 
 
-def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:
-    """A positive word for a permutation: strip its least left descent until none is left."""
-    p, letters = list(images), []
-    while descents := _descents(p):
-        g = min(descents)
-        letters.append(g)
-        p[g - 1], p[g] = p[g], p[g - 1]
-    return tuple(letters)
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Left-weighted factorization Delta^infimum * factors of a positive word."""
@@ -94,9 +74,6 @@ class NormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def factor_words(self) -> list[tuple[int, ...]]:
-        return [_perm_to_letters(f.images) for f in self.factors]
-
     def __str__(self) -> str:
         parts = []
         if self.infimum or not self.factors:
@@ -104,16 +81,6 @@ class NormalForm:
         for f in self.factors:
             parts.append("(" + " ".join(str(i) for i in f.images) + ")")
         return " . ".join(parts)
-
-
-def starting_set(f: Permutation) -> frozenset[int]:
-    """Generators that left-divide the permutation braid f."""
-    return frozenset(_descents(f.images))
-
-
-def finishing_set(f: Permutation) -> frozenset[int]:
-    """Generators that right-divide the permutation braid f."""
-    return frozenset(_descents(f.inverse().images))
 
 
 def delta_word(n: int) -> BraidWord:

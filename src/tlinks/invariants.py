@@ -42,7 +42,6 @@ from .braid import BraidWord, split_full_twists, torus_braid
 from .garside import braid_index_by_full_twist
 from .laurent import (
     LaurentPoly,
-    PolyMatrix,
     digits_of,
     divide_by_strand_sum,
     packed_determinant,
@@ -129,17 +128,6 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
         shift = (m + 1) * twists * k
         cols = [[x << shift for x in col] for col in cols]
     return cols, k, neg
-
-
-def reduced_burau(w: BraidWord) -> PolyMatrix:
-    """Product of the (n-1)x(n-1) generator matrices, letters left to right.
-
-    The packed columns of alexander (_burau_columns), each entry unpacked once.
-    """
-    if w.strands < 2:
-        raise ValueError("the reduced Burau representation needs at least 2 strands")
-    cols, k, neg = _burau_columns(w)
-    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(len(cols)))
 
 
 def alexander(w: BraidWord) -> LaurentPoly:
@@ -281,31 +269,32 @@ def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
 class TorusReference:
     """Invariant bundle of T(p, q) whose costly fields are computed when first read.
 
-    It has the field names of InvariantBundle.  components, letters and
-    euler_char are set at once; braid_index, alexander and jones each run
-    their engine on (sigma_1...sigma_{q-1})^p on its first read and keep the
-    value.  A certificate reads the braid index first and stops at the first
-    mismatch, so most references never build an Alexander or Jones polynomial.
+    It has the field names of InvariantBundle.  The braid
+    (sigma_1...sigma_{q-1})^p is built once and kept as word; components,
+    letters and euler_char are set at once, and braid_index, alexander and
+    jones each run their engine on word on its first read and keep the value.
+    A certificate reads the braid index first and stops at the first mismatch,
+    so most references never build an Alexander or Jones polynomial.
     """
 
     def __init__(self, p: int, q: int, guard: int):
-        self.p, self.q, self.guard = p, q, guard
-        w = torus_braid(p, q)
+        self.word = w = torus_braid(p, q)
+        self.guard = guard
         self.components = w.component_count()
         self.letters = len(w.letters)
         self.euler_char = euler_char(w)
 
     @cached_property
     def braid_index(self) -> int | None:
-        return braid_index_by_full_twist(torus_braid(self.p, self.q))
+        return braid_index_by_full_twist(self.word)
 
     @cached_property
     def alexander(self) -> LaurentPoly:
-        return alexander(torus_braid(self.p, self.q))
+        return alexander(self.word)
 
     @cached_property
     def jones(self) -> LaurentPoly | None:
-        return jones(torus_braid(self.p, self.q), self.guard)
+        return jones(self.word, self.guard)
 
 
 @lru_cache(maxsize=None)

@@ -2,25 +2,23 @@
 
 Coefficients are arbitrary-precision Python ints and the representation is a
 sparse map from exponent to nonzero coefficient, so polynomial equality is
-exact and cheap.  It holds the Alexander and Jones values and the entries of
-a PolyMatrix; the Burau product, the Alexander determinant and the Kauffman
-state sum run on packed integers and meet this type only when their result is
-unpacked.
+exact and cheap.  It holds the Alexander and Jones values; the Burau
+product, the Alexander determinant and the Kauffman state sum run on packed
+integers and meet this type only when their result is unpacked.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
 balanced base-2^k digits when k exceeds their bit length.  On packed
 integers it provides the one determinant, packed_determinant, which picks
-its digit width from a proved norm bound and serves both determinant and
-the Alexander pipeline, and exact division by 1 + t + ... + t^(n-1) as one
-integer division.
+its digit width from a proved norm bound, and exact division by
+1 + t + ... + t^(n-1) as one integer division; the Alexander pipeline uses
+both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class InexactDivisionError(ValueError):
@@ -107,13 +105,6 @@ class LaurentPoly:
                     del out[e]
         return LaurentPoly(out)
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
-    def scaled(self, factor: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * factor for e, c in self._coeffs.items()})
-
     def unit_normalized(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.
 
@@ -186,26 +177,6 @@ def _monomial(var: str, e: int) -> str | None:
     if e == 1:
         return var
     return f"{var}^{e}"
-
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """A square matrix over LaurentPoly."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[LaurentPoly]]) -> "PolyMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 # -- packed integers -----------------------------------------------------------
@@ -360,16 +331,3 @@ def packed_determinant(
             out.append(value)
         packed.append(out)
     return int_determinant(packed), k, bound, sum(row_lows) + sum(col_lows)
-
-
-def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant, as one packed integer determinant (packed_determinant)."""
-    rows = [
-        [
-            (p.min_exp, [p._coeffs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1)]) if p else None
-            for p in row
-        ]
-        for row in m.entries
-    ]
-    det, k, _, low = packed_determinant(rows, 1)
-    return unpack(det, k, low)

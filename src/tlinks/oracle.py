@@ -18,6 +18,7 @@ mismatch, which stands regardless of guard size.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -249,13 +250,16 @@ def cross_validate(
     """Run classifier and oracle over every form in range and collect rows.
 
     Row order is the enumeration order regardless of job count, so reports
-    are deterministic.  A disagreement is a NotTorusLink verdict paired with
-    a TorusMatch certificate; the source theorem predicts there are none.
+    are deterministic.  At most jobs worker processes start, and never more
+    than there are CPUs or forms.  A disagreement is a NotTorusLink verdict
+    paired with a TorusMatch certificate; the source theorem predicts there
+    are none.
     """
     forms = list(enumerate_forms(max_p, max_n, max_s, max_a))
     tasks = [(i, form, guard) for i, form in enumerate(forms)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_sweep_row, tasks, chunksize=8))
     else:
         rows = tuple(_sweep_row(t) for t in tasks)

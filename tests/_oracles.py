@@ -12,19 +12,58 @@ the Garside normal form by left-weighting every adjacent pair until nothing
 changes, braid-word equivalence by closing the word under commutation and
 braid relations, and torus candidate parameters by direct integer
 enumeration.
+
+The module also holds test helpers that are not oracles: the polynomial
+matrix type the oracles compute with, small polynomial and permutation-braid
+helpers, and reduced_burau and determinant, which read the library's packed
+engines (invariants._burau_columns, laurent.packed_determinant) back as
+polynomial matrices so that the tests can compare those engines with the
+oracles.  They are views of the engines under test, not independent checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
+from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Permutation
 from tlinks.garside import NormalForm
-from tlinks.laurent import InexactDivisionError, LaurentPoly, PolyMatrix
+from tlinks.invariants import _burau_columns
+from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
+
+
+@dataclass(frozen=True)
+class PolyMatrix:
+    """A square matrix over LaurentPoly."""
+
+    entries: tuple[tuple[LaurentPoly, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("matrix must be square")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[LaurentPoly]]) -> "PolyMatrix":
+        return cls(tuple(tuple(row) for row in rows))
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+
+def shifted(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p times t^k."""
+    return LaurentPoly({e + k: c for e, c in p.terms()})
+
+
+def scaled(p: LaurentPoly, factor: int) -> LaurentPoly:
+    return LaurentPoly({e: c * factor for e, c in p.terms()})
 
 
 def poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -141,9 +180,9 @@ def brute_jones(w: BraidWord) -> LaurentPoly:
         loops = len({_find(parent, x) for x in parent})
         total = total + LaurentPoly.t(a_exp) * poly_pow(_DELTA_A, loops - 1)
     writhe = sum(1 if e > 0 else -1 for e in letters)
-    f = total.shifted(-3 * writhe)
+    f = shifted(total, -3 * writhe)
     if writhe % 2:
-        f = f.scaled(-1)
+        f = scaled(f, -1)
     return LaurentPoly({-e: c for e, c in f.terms()})
 
 
@@ -168,9 +207,9 @@ def bucket_jones(w: BraidWord) -> LaurentPoly:
         sign = 1 if letter > 0 else -1
         acc: dict[tuple[int, ...], LaurentPoly] = {}
         for m, coeff in states.items():
-            acc[m] = acc.get(m, zero) + coeff.shifted(-sign)
+            acc[m] = acc.get(m, zero) + shifted(coeff, -sign)
             a, b = m[x], m[y]
-            cup = coeff.shifted(sign)
+            cup = shifted(coeff, sign)
             if a == y:
                 m2, cup = m, cup * _DELTA_A
             else:
@@ -190,8 +229,8 @@ def bucket_jones(w: BraidWord) -> LaurentPoly:
         loops = len({_find(parent, p) for p in parent})
         bracket = bracket + coeff * poly_pow(_DELTA_A, loops - 1)
     writhe = sum(1 if e > 0 else -1 for e in w.letters)
-    normalized = bracket.shifted(3 * writhe)
-    return normalized.scaled(-1) if writhe % 2 else normalized
+    normalized = shifted(bracket, 3 * writhe)
+    return scaled(normalized, -1) if writhe % 2 else normalized
 
 
 def burau_product(w: BraidWord) -> PolyMatrix:
@@ -223,7 +262,7 @@ def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
         for i, j in enumerate(perm):
             term = term * m.entries[i][j]
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total = total + term.scaled(-1 if inversions % 2 else 1)
+        total = total + scaled(term, -1 if inversions % 2 else 1)
     return total
 
 
@@ -247,7 +286,7 @@ def torus_jones_closed_form(p: int, q: int) -> LaurentPoly:
         raise ValueError("closed form applies to coprime parameters only")
     t = LaurentPoly.t
     numerator = LaurentPoly.one() - t(p + 1) - t(q + 1) + t(p + q)
-    v = divide_exact(numerator, LaurentPoly.one() - t(2)).shifted((p - 1) * (q - 1) // 2)
+    v = shifted(divide_exact(numerator, LaurentPoly.one() - t(2)), (p - 1) * (q - 1) // 2)
     return LaurentPoly({4 * e: c for e, c in v.terms()})
 
 
@@ -260,6 +299,31 @@ def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _descents(p: tuple[int, ...]) -> set[int]:
     return {g for g in range(1, len(p)) if p[g - 1] > p[g]}
+
+
+def starting_set(f: Permutation) -> frozenset[int]:
+    """Generators that left-divide the permutation braid f."""
+    return frozenset(_descents(f.images))
+
+
+def finishing_set(f: Permutation) -> frozenset[int]:
+    """Generators that right-divide the permutation braid f."""
+    return frozenset(_descents(f.inverse().images))
+
+
+def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:
+    """A positive word for a permutation: strip its least left descent until none is left."""
+    p, letters = list(images), []
+    while descents := _descents(p):
+        g = min(descents)
+        letters.append(g)
+        p[g - 1], p[g] = p[g], p[g - 1]
+    return tuple(letters)
+
+
+def factor_words(nf: NormalForm) -> list[tuple[int, ...]]:
+    """A positive word for each permutation-braid factor of a normal form."""
+    return [_perm_to_letters(f.images) for f in nf.factors]
 
 
 def _swap_positions(p: tuple[int, ...], g: int) -> tuple[int, ...]:
@@ -347,3 +411,30 @@ def enumerate_torus_candidates(components: int, euler_char: int) -> list[tuple[i
             if (p - 1) * (q - 1) == target and gcd(p, q) == components:
                 out.append((p, q))
     return sorted(out, key=lambda pq: (pq[1], pq[0]))
+
+
+# -- views of the library engines under test (not independent) ----------------
+
+
+def reduced_burau(w: BraidWord) -> PolyMatrix:
+    """The packed Burau columns of alexander (invariants._burau_columns), unpacked.
+
+    Product of the (n-1)x(n-1) generator matrices, letters left to right.
+    """
+    if w.strands < 2:
+        raise ValueError("the reduced Burau representation needs at least 2 strands")
+    cols, k, neg = _burau_columns(w)
+    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(len(cols)))
+
+
+def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
+    """(lowest exponent, every coefficient from it up to the highest) of a nonzero p."""
+    coeffs = dict(p.terms())
+    return p.min_exp, [coeffs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1)]
+
+
+def determinant(m: PolyMatrix) -> LaurentPoly:
+    """Exact determinant, as one packed integer determinant (laurent.packed_determinant)."""
+    rows = [[_dense(p) if p else None for p in row] for row in m.entries]
+    det, k, _, low = packed_determinant(rows, 1)
+    return unpack(det, k, low)

@@ -33,8 +33,24 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (0,))
     with pytest.raises(ValueError):
+        BraidWord(3, (-3,))
+    with pytest.raises(ValueError):
         BraidWord(0, ())
     BraidWord(1, ())  # identity on one strand is fine
+    # a bad letter after good ones is named with its index
+    with pytest.raises(ValueError, match=r"^letter 4 at index 3 out of range for 4 strands$"):
+        BraidWord(4, (1, -3, 2, 4, 1))
+    with pytest.raises(ValueError, match=r"^letter 0 at index 2 out of range for 3 strands$"):
+        BraidWord(3, (2, -2, 0, 5))
+    with pytest.raises(ValueError, match=r"^letter -5 at index 1 out of range for 5 strands$"):
+        BraidWord(5, (4, -5, -4))
+    # list input is stored as a tuple
+    w = BraidWord(3, [1, -2, 2])
+    assert w.letters == (1, -2, 2) and isinstance(w.letters, tuple)
+    assert w == BraidWord(3, (1, -2, 2)) and hash(w) == hash(BraidWord(3, (1, -2, 2)))
+    # the empty word is positive, on any strand count
+    assert BraidWord(1, ()).is_positive and BraidWord(4, ()).is_positive
+    assert BraidWord(3, (1, 2)).is_positive and not BraidWord(3, (1, -2)).is_positive
 
 
 def test_permutation_examples():
@@ -137,7 +153,9 @@ def test_destabilize_undoes_stabilize(w):
 @given(braid_words(), braid_words())
 def test_permutation_of_concat_is_composition(a, b):
     b = BraidWord(a.strands, tuple(e for e in b.letters if abs(e) < a.strands))
-    assert a.concat(b).permutation() == a.permutation().then(b.permutation())
+    # diagram order: the permutation of a first, then that of b
+    pa, pb = a.permutation(), b.permutation()
+    assert a.concat(b).permutation() == Permutation(tuple(pa(i) for i in pb.images))
 
 
 def test_permutation_type():
@@ -145,7 +163,7 @@ def test_permutation_type():
         Permutation((1, 1, 3))
     p = Permutation((2, 3, 1))
     assert p.inverse().images == (3, 1, 2)
-    assert p.then(p.inverse()).is_identity()
+    assert Permutation(tuple(p(i) for i in p.inverse().images)).is_identity()
     assert p.cycles() == [(1, 2, 3)]
 
 

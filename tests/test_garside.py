@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import _descents, _perm_inverse, fixpoint_normal_form, relation_closure
+from _oracles import (
+    _descents,
+    _perm_inverse,
+    factor_words,
+    finishing_set,
+    fixpoint_normal_form,
+    relation_closure,
+    starting_set,
+)
 from tlinks.braid import BraidWord, Permutation, torus_braid
 from tlinks.garside import (
     braid_index_by_full_twist,
     contains_full_twist,
     delta_word,
-    finishing_set,
     infimum,
     normal_form,
-    starting_set,
 )
 from tlinks.oracle import enumerate_forms
 from tlinks.tlink import standard_braid
@@ -44,7 +50,7 @@ def test_normal_form_examples():
     assert normal_form(BraidWord(3, (2, 1, 2))) == nf
     nf2 = normal_form(BraidWord(3, (1, 1)))
     assert nf2.infimum == 0
-    assert nf2.factor_words() == [(1,), (1,)]
+    assert factor_words(nf2) == [(1,), (1,)]
 
 
 def test_normal_form_rejects_negative_letters():
@@ -134,7 +140,7 @@ def test_prepending_full_twist_shifts_infimum(w):
 def test_normal_form_product_reconstructs_word(w):
     nf = normal_form(w)
     letters = tuple(delta_word(w.strands).letters) * nf.infimum if w.strands > 1 else ()
-    for fw in nf.factor_words():
+    for fw in factor_words(nf):
         letters += fw
     # same positive braid element: identical normal forms
     assert normal_form(BraidWord(w.strands, letters)) == nf
@@ -182,4 +188,4 @@ def test_late_full_twist_reaches_back_through_every_factor():
         w = BraidWord(n, (1, 1, 1) + tuple(range(1, n)) * n)
         nf = normal_form(w)
         assert nf == fixpoint_normal_form(w)
-        assert (nf.infimum, nf.factor_words()) == (2, [(1,), (1,), (1,)])
+        assert (nf.infimum, factor_words(nf)) == (2, [(1,), (1,), (1,)])

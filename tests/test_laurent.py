@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import divide_exact, evaluate, identity_matrix, leibniz_determinant, matmul, poly_pow
-from tlinks.laurent import (
-    InexactDivisionError,
-    LaurentPoly,
+from _oracles import (
     PolyMatrix,
     determinant,
-    divide_by_strand_sum,
-    poly_text,
+    divide_exact,
+    evaluate,
+    identity_matrix,
+    leibniz_determinant,
+    matmul,
+    poly_pow,
 )
+from tlinks.laurent import InexactDivisionError, LaurentPoly, divide_by_strand_sum, poly_text
 
 T = LaurentPoly.t
 ONE = LaurentPoly.one()

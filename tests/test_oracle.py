@@ -1,6 +1,7 @@
 import pytest
 
 import tlinks.invariants as invariants
+import tlinks.oracle as oracle
 from _oracles import enumerate_torus_candidates, torus_alexander_closed_form
 from tlinks.braid import BraidWord, torus_braid
 from tlinks.invariants import alexander, bundle, torus_reference
@@ -89,6 +90,23 @@ def test_torus_references_compute_invariants_on_demand(monkeypatch):
     assert ref.alexander == expected
     assert ref.alexander is ref.alexander
     assert calls == ["alexander"]
+
+
+def test_torus_reference_builds_its_braid_once(monkeypatch):
+    built = []
+
+    def counted(p, q):
+        built.append((p, q))
+        return torus_braid(p, q)
+
+    torus_reference.cache_clear()
+    monkeypatch.setattr(invariants, "torus_braid", counted)
+    ref = torus_reference(7, 3)
+    b = bundle(torus_braid(7, 3))
+    for field in ("components", "letters", "euler_char", "braid_index", "alexander", "jones"):
+        assert getattr(ref, field) == getattr(b, field), field
+    assert built == [(7, 3)]
+    torus_reference.cache_clear()
 
 
 def test_certify_standard_word_of_gcd_case():
@@ -187,6 +205,43 @@ def test_guard_monotonicity_across_a_sweep():
         assert a.text == b.text
         if a.certificate.kind != INCONCLUSIVE:
             assert a.certificate.kind == b.certificate.kind, a.text
+
+
+def test_cross_validate_caps_worker_count(monkeypatch):
+    # no real process starts: the pool is a serial stand-in that records
+    # how many workers it was asked for
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    def rows(**kwargs):
+        report = cross_validate(max_s=1, max_n=1, **kwargs)
+        return [(r.text, r.verdict, r.certificate, r.invariants) for r in report.rows]
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    serial = rows(max_p=5)
+    assert created == [] and len(serial) > 3
+    assert rows(max_p=5, jobs=100_000) == serial
+    assert rows(max_p=5, jobs=2) == serial
+    # fewer forms than CPUs: one worker per form
+    tiny = rows(max_p=4, jobs=100_000)
+    assert created == [3, 2, len(tiny)] and len(tiny) == 2
+    # no CPU count known: one CPU is assumed, and the sweep runs in-process
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert rows(max_p=5, jobs=100_000) == serial
+    assert created == [3, 2, 2]
 
 
 def test_cross_validate_jobs_agree():
