@@ -161,6 +161,103 @@ class BraidWord:
         return braid_text(self)
 
 
+def closure_pieces(w: BraidWord) -> tuple[BraidWord, ...]:
+    """Reduced words whose closures, side by side, form the closure of w.
+
+    The pieces come in the order of their strands, strand 1 first; a 1-strand
+    piece with no letters is an unknot.  Three exact moves are applied until none applies;
+    each deletes letters from the cyclic word in place.  Rotating a word is a
+    conjugation, so deleting in place is the move made at one end of a
+    rotation, followed by rotating back.
+
+    * Cancellation: sigma_g^e and sigma_g^-e cancel when every letter between
+      them on one side, going round the cyclic word, commutes with sigma_g,
+      that is has |f| outside {g-1, g, g+1}.
+    * Destabilization: a generator g with one letter left, the highest of
+      its piece (g + 1 has none), is deleted by BraidWord.destabilized,
+      which drops the top strand of the piece.  The lowest of its piece
+      (g - 1 has none) is deleted by the same move after conjugating the
+      piece by Delta, which relabels i as n - i.
+    * Split: a generator with no letters left, not destabilized, separates
+      the strands below it from those above, so the closure is their split
+      union.  Each piece keeps its letters, relabelled from 1.
+
+    Linear time.  The list of generator g links, in cyclic word order, the
+    letters that do not commute with sigma_g: those of g - 1, g and g + 1.
+    Two letters of g cancel exactly when they are neighbours in g's list.  A
+    letter sits in three lists, and deleting it joins only its neighbours
+    there, so each deletion checks three new pairs.  Per generator, a count
+    of its letters and the sum of their indices name the one letter to
+    destabilize.  Building the lists costs O(1) per letter, so does each
+    deletion, and reading the pieces off costs O(letters + strands).
+    """
+    n, letters = w.strands, w.letters
+    # membership 3i + d is letter i in the list of generator |e_i| - 1 + d
+    lists: list[list[int]] = [[] for _ in range(n + 1)]
+    count = [0] * (n + 1)  # letters per generator; 0 and n stay empty
+    index_sum = [0] * (n + 1)
+    for i, e in enumerate(letters):
+        g = abs(e)
+        count[g] += 1
+        index_sum[g] += i
+        for d in range(3):
+            lists[g - 1 + d].append(3 * i + d)
+    nxt = [0] * (3 * len(letters))
+    prv = [0] * (3 * len(letters))
+    for members in lists:
+        for a, b in zip(members, members[1:] + members[:1]):
+            nxt[a], prv[b] = b, a
+    alive = [True] * len(letters)
+    destabilized = [False] * (n + 1)
+    # memberships to test against their next; at first every letter in its own list
+    pairs = list(range(1, 3 * len(letters), 3))
+    gens = list(range(1, n))
+
+    def delete(i: int) -> None:
+        alive[i] = False
+        g = abs(letters[i])
+        count[g] -= 1
+        index_sum[g] -= i
+        for u in range(3 * i, 3 * i + 3):
+            p, q = prv[u], nxt[u]
+            nxt[p], prv[q] = q, p
+            pairs.append(p)
+        gens.extend((g - 1, g, g + 1))
+
+    while pairs or gens:
+        if pairs:
+            u = pairs.pop()
+            v = nxt[u]
+            i, j = u // 3, v // 3
+            # u % 3 == 1: this is the list of e_i's generator, and e_j = -e_i
+            # says that v is a letter of it too (a lone letter is its own next)
+            if alive[i] and u % 3 == 1 and letters[i] == -letters[j]:
+                delete(i)
+                delete(j)
+        else:
+            g = gens.pop()
+            # count[0] and count[n] are 0, so g + 1 <= n is read only for 1 <= g < n
+            if count[g] == 1 and not (count[g - 1] and count[g + 1]):
+                destabilized[g] = True
+                delete(index_sum[g])
+
+    strands, low, piece_of = [1], [0], [0] * n
+    for g in range(1, n):
+        if count[g]:
+            low[-1] = low[-1] or g
+            strands[-1] += 1
+            piece_of[g] = len(strands) - 1
+        elif not destabilized[g]:
+            strands.append(1)
+            low.append(0)
+    pieces: list[list[int]] = [[] for _ in strands]
+    for e, keep in zip(letters, alive):
+        if keep:
+            p = piece_of[abs(e)]
+            pieces[p].append(e - low[p] + 1 if e > 0 else e + low[p] - 1)
+    return tuple(BraidWord(s, tuple(ws)) for s, ws in zip(strands, pieces))
+
+
 def torus_braid(p: int, q: int) -> BraidWord:
     """The standard braid (sigma_1...sigma_{q-1})^p of T(p,q) on q strands."""
     if q < 1 or p < 1:

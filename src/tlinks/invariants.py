@@ -8,8 +8,10 @@ Four engines feed one bundle per word:
 * the one-variable Alexander polynomial through the reduced Burau
   representation: det(rho(w) - I) equals, up to a unit +-t^k, the Alexander
   polynomial times (1 + t + ... + t^{n-1});
-* the Jones polynomial through the Kauffman bracket, one integer packed at
-  t^(1/2) = 2^K per planar-matching bucket, under a crossing guard.
+* the Jones polynomial through the Kauffman bracket, under a crossing guard
+  on the word as given: the word is first reduced by exact moves and split
+  into pieces (braid.closure_pieces), and each piece is summed with one
+  integer packed at t^(1/2) = 2^K per planar-matching bucket.
 
 Torus references (torus_reference), the one cache, compute each invariant
 on its first read, so a candidate settled by the braid index never builds
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .braid import BraidWord, split_full_twists, torus_braid
+from .braid import BraidWord, closure_pieces, split_full_twists, torus_braid
 from .garside import braid_index_by_full_twist
 from .laurent import (
     LaurentPoly,
@@ -48,9 +50,12 @@ from .laurent import (
     unpack,
 )
 
-# Cost model of jones: about letters x min(Catalan(strands), 2^letters) bucket
-# updates, each a shift and an add on an integer of at most 2 x letters digits
-# of K = letters + strands + 1 bits.  Words above the guard are not summed.
+# Cost model of jones: per piece of the reduced word, about letters x
+# min(Catalan(strands), 2^letters) bucket updates, each a list lookup, a shift
+# and an add on an integer of at most 2 x letters digits of K = letters +
+# strands + 1 bits; the reduction itself is linear in the letters.  The guard
+# counts the letters of the word as given, before the reduction, so which
+# words get a Jones value does not depend on how far they reduce.
 DEFAULT_JONES_GUARD = 24
 
 
@@ -165,26 +170,39 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
 
 def _closure_loops(matching: tuple[int, ...], n: int) -> int:
+    """Loops of a matching of n top and n frontier points once closed.
+
+    The closure joins top point j to frontier point n + j.  A loop that meets
+    position j runs through both of its points, so one walk from the top
+    point of each position not yet met finds every loop once.
+    """
     loops = 0
-    visited = [False] * (2 * n)
-    for start in range(2 * n):
-        if visited[start]:
+    met = [False] * n
+    for start in range(n):
+        if met[start]:
             continue
         loops += 1
         x = start
-        while not visited[x]:
-            visited[x] = True
+        while True:
             y = matching[x]
-            visited[y] = True
-            x = y + n if y < n else y - n
+            # on to the other point of y's position, by its closure arc
+            if y < n:
+                met[y] = True
+                x = y + n
+            else:
+                x = y - n
+                met[x] = True
+            if x == start:
+                break
     return loops
 
 
-def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
-    """Jones polynomial of the closure, in quarter powers of t.
+# V(L1 u L2) = -(t^(1/2) + t^(-1/2)) V(L1) V(L2); the factor in quarter exponents
+_SPLIT_FACTOR = LaurentPoly({2: -1, -2: -1})
 
-    Exponent k encodes t^(k/4); knots land on multiples of 4.  Absent (None)
-    when the word has more crossings than the guard allows.
+
+def _state_sum(w: BraidWord) -> LaurentPoly:
+    """Jones polynomial of the closure by the Kauffman state sum.
 
     V(t) is (-A)^(-3 writhe) times the Kauffman bracket at A = t^(-1/4),
     summed crossing by crossing over buckets keyed by the planar matching of
@@ -200,40 +218,67 @@ def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
     the padding 2(n-1) and the offsets 2c - writhe of the c crossings, plus
     the normalization 3 writhe.
 
+    Numbered matchings.  Each matching gets an integer id when first made,
+    and buckets are keyed by id.  The cup-cap smoothing of matching s at
+    sigma_i is worked out once per call, when a bucket first needs it, and
+    kept in a list per generator as the id it leads to, or -1 where it closes
+    a loop.  A smoothing is then a list lookup and the shift-adds.
+
     Digit width.  A crossing turns a bucket of l1 norm N into terms of norm N
     in two buckets, or in one at a kink, and sums are subadditive, so all
     buckets together have norm at most 2^c; the closure factors have norm
     2^(L-1) <= 2^(n-1).  Every coefficient of the sum is at most
     B = 2^(c+n-1), and K = bit_length(B) + 1 = c + n + 1 unpacks it exactly.
     """
-    if len(w.letters) > guard:
-        return None
     n, c = w.strands, len(w.letters)
     k = c + n + 1
-    states = {tuple(list(range(n, 2 * n)) + list(range(n))): 1}
+    start = tuple(list(range(n, 2 * n)) + list(range(n)))
+    matchings = [start]
+    ids = {start: 0}
+    # moves[i][s]: the id after the cup-cap smoothing of sigma_i, -1 at a
+    # kink, None until used; all n lists (moves[0] unused) have one length
+    moves: list[list[int | None]] = [[None] for _ in range(n)]
+
+    def cup_cap(s: int, i: int) -> int:
+        m = matchings[s]
+        x, y = n + i - 1, n + i
+        a, b = m[x], m[y]
+        if a == y:
+            return -1
+        lst = list(m)
+        lst[a], lst[b] = b, a
+        lst[x], lst[y] = y, x
+        m2 = tuple(lst)
+        t = ids.get(m2)
+        if t is None:
+            t = ids[m2] = len(matchings)
+            matchings.append(m2)
+            if t == len(moves[0]):  # make room for ids up to 2t - 1
+                for move in moves:
+                    move.extend([None] * t)
+        return t
+
+    states = {0: 1}
     for letter in w.letters:
         i = abs(letter)
-        x, y = n + i - 1, n + i
+        move = moves[i]
         vertical, kink = (0, 2 * k) if letter > 0 else (2 * k, 0)
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
-        for m, v in states.items():
-            a = m[x]
-            if a == y:
-                acc[m] = get(m, 0) - (v << kink)
-                continue
-            acc[m] = get(m, 0) + (v << vertical)
-            b = m[y]
-            lst = list(m)
-            lst[a], lst[b] = b, a
-            lst[x], lst[y] = y, x
-            m2 = tuple(lst)
-            acc[m2] = get(m2, 0) + (v << k)
+        for s, v in states.items():
+            t = move[s]
+            if t is None:
+                t = move[s] = cup_cap(s, i)
+            if t < 0:
+                acc[s] = get(s, 0) - (v << kink)
+            else:
+                acc[s] = get(s, 0) + (v << vertical)
+                acc[t] = get(t, 0) + (v << k)
         states = {key: val for key, val in acc.items() if val}
 
     by_loops = [0] * (n + 1)
-    for m, v in states.items():
-        by_loops[_closure_loops(m, n)] += v
+    for s, v in states.items():
+        by_loops[_closure_loops(matchings[s], n)] += v
     loop = -1 - (1 << 2 * k)
     packed = sum(v * loop ** (L - 1) << (n - L) * k for L, v in enumerate(by_loops) if v)
 
@@ -241,6 +286,38 @@ def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
     offset = 4 * writhe - 2 * c - 2 * (n - 1)
     sign = -1 if writhe % 2 else 1
     return LaurentPoly({2 * e + offset: sign * d for e, d in unpack(packed, k, 0).terms()})
+
+
+def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
+    """Jones polynomial of the closure, in quarter powers of t.
+
+    Exponent k encodes t^(k/4); knots land on multiples of 4.  Absent (None)
+    when the word has more letters than the guard allows; the guard reads the
+    word as given, not its reduction.
+
+    The word is first reduced by braid.closure_pieces, and the state sum
+    (_state_sum) runs on each piece that has letters.  V is an invariant of
+    the closure's link type, and no move changes that type.  A cancellation
+    of sigma_g^e against sigma_g^-e across letters that commute with sigma_g
+    changes the braid only by a conjugation (if it runs across the ends of
+    the word) and a free cancellation.  A destabilization is Markov's move,
+    after a conjugation by Delta at the bottom of a piece; both keep the
+    closure.  A split writes the closure as the split union of the pieces'
+    closures, and V(L1 u L2) = -(t^(1/2) + t^(-1/2)) V(L1) V(L2), so V is the
+    product of the pieces' values times that split factor once per piece
+    past the first.  A piece of one strand and no letters is an unknot,
+    V = 1, so the empty word on n strands gets (-t^(1/2) - t^(-1/2))^(n-1).
+    """
+    if len(w.letters) > guard:
+        return None
+    pieces = closure_pieces(w)
+    value = LaurentPoly.one()
+    for piece in pieces:
+        if piece.letters:
+            value = value * _state_sum(piece)
+    for _ in pieces[1:]:
+        value = value * _SPLIT_FACTOR
+    return value
 
 
 # -- Euler characteristic and aggregation --------------------------------------

@@ -8,6 +8,7 @@ from tlinks.braid import (
     BraidWord,
     Permutation,
     braid_text,
+    closure_pieces,
     parse_braid_text,
     split_full_twists,
     torus_braid,
@@ -110,6 +111,65 @@ def test_markov_destabilize():
         BraidWord(3, (1, 1)).destabilized()
     # a negative top letter also destabilizes
     assert BraidWord(3, (-2, 1, 1)).destabilized() == BraidWord(2, (1, 1))
+
+
+def test_closure_pieces():
+    unknot = BraidWord(1, ())
+    # nothing applies: the word comes back as it is
+    assert closure_pieces(BraidWord(3, (1, 2, 1, 2))) == (BraidWord(3, (1, 2, 1, 2)),)
+    assert closure_pieces(unknot) == (unknot,)
+    assert closure_pieces(BraidWord(3, ())) == (unknot,) * 3
+    # split at the unused generator 2; the upper piece is relabelled from 1
+    assert closure_pieces(BraidWord(5, (1, 1, 1, 3, 4, 3, 4))) == (
+        BraidWord(2, (1, 1, 1)),
+        BraidWord(3, (1, 2, 1, 2)),
+    )
+    # sigma_{n-1} once is BraidWord.destabilized, up to rotation
+    top = BraidWord(3, (1, 1, 2, 1))
+    assert closure_pieces(top) == (BraidWord(2, (1, 1, 1)),)
+    assert top.destabilized() == BraidWord(2, (1, 1, 1))
+    assert closure_pieces(BraidWord(3, (1, -2, 1, 1))) == (BraidWord(2, (1, 1, 1)),)
+    # sigma_1 once: conjugating by Delta maps i to n - i, then destabilize
+    assert closure_pieces(BraidWord(3, (2, 2, -1, 2))) == (BraidWord(2, (1, 1, 1)),)
+    # 1 and -1 cancel across the far-commuting 3; then sigma_1 is unused
+    assert closure_pieces(BraidWord(4, (1, 3, -1, 2, 3, 2))) == (
+        unknot,
+        BraidWord(3, (2, 1, 2, 1)),
+    )
+    # -1 at the end and 1 at the start cancel across the ends of the word
+    assert closure_pieces(BraidWord(3, (1, 2, 1, 2, 1, 2, -1))) == (
+        BraidWord(3, (2, 1, 2, 1, 2)),
+    )
+    # a cascade: destabilizing sigma_3 lets 2 and -2, then 1 and -1 cancel
+    assert closure_pieces(BraidWord(4, (1, 2, 3, -2, -1))) == (unknot,) * 3
+    assert closure_pieces(BraidWord(3, (1, -1) * 13)) == (unknot,) * 3
+
+
+def _reduced(piece: BraidWord) -> bool:
+    """No cancellation, destabilization or split applies (by brute force)."""
+    n, letters = piece.strands, piece.letters
+    counts = [sum(1 for e in letters if abs(e) == g) for g in range(1, n)]
+    if n > 1 and (min(counts) == 0 or counts[0] == 1 or counts[-1] == 1):
+        return False
+    for i, e in enumerate(letters):
+        # the first letter after e, cyclically, that does not commute with it
+        for step in range(1, len(letters)):
+            f = letters[(i + step) % len(letters)]
+            if abs(abs(f) - abs(e)) <= 1:
+                if f == -e:
+                    return False
+                break
+    return True
+
+
+@settings(max_examples=200)
+@given(braid_words(max_strands=7, max_letters=14))
+def test_closure_pieces_are_reduced(w):
+    pieces = closure_pieces(w)
+    assert all(_reduced(p) for p in pieces)
+    # components add up over a split union and survive every move
+    assert sum(p.component_count() for p in pieces) == w.component_count()
+    assert sum(len(p) for p in pieces) <= len(w)
 
 
 def test_conjugate():

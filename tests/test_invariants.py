@@ -20,7 +20,7 @@ from _oracles import (
     torus_alexander_closed_form,
     torus_jones_closed_form,
 )
-from tlinks.braid import BraidWord, split_full_twists, torus_braid
+from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
 from tlinks.invariants import (
     _burau_columns,
     alexander,
@@ -248,6 +248,56 @@ def test_packed_jones_matches_bucket_oracle():
         assert jones(w, guard=len(letters)) == bucket_jones(w)
 
 
+def test_jones_on_reducible_words():
+    # jones reduces each word first (closure_pieces); the oracles sum the
+    # unreduced word
+    cases = [
+        BraidWord(5, (1, -2, 4, 1, 4, -2, 4)),  # split at the middle generator 3
+        BraidWord(4, (1, -2, 1, -2, 3)),  # sigma_{n-1} once
+        BraidWord(4, (-3, 1, -2, 1, 2)),  # sigma_{n-1}^-1 once
+        BraidWord(4, (2, -3, 1, 2, -3)),  # sigma_1 once
+        BraidWord(4, (-3, 2, -1, -3, 2, 2)),  # sigma_1^-1 once
+        BraidWord(4, (1, 3, -1, 2, -3, 2, 3)),  # 1 and -1 cancel across 3
+        BraidWord(3, (-1, 2, 1, -2, 1, 2, 1)),  # -1 and 1 cancel across the ends
+    ]
+    for w in cases:
+        assert closure_pieces(w) != (w,)
+        assert jones(w) == bucket_jones(w) == brute_jones(w), w
+
+
+def test_jones_of_words_that_cancel_to_nothing():
+    # n unknots: (-t^(1/2) - t^(-1/2))^(n-1), in quarter exponents
+    for n in range(1, 7):
+        expected = LaurentPoly.one()
+        for _ in range(n - 1):
+            expected = expected * LaurentPoly({2: -1, -2: -1})
+        gens = range(1, n)
+        odd, even = tuple(gens[::2]), tuple(gens[1::2])
+        for letters in (
+            tuple(e for g in gens for e in (g, -g)),
+            tuple(gens) + tuple(-g for g in reversed(gens)),
+            # each letter cancels across far-commuting ones
+            odd + tuple(-g for g in odd) + even + tuple(-g for g in even),
+        ):
+            w = BraidWord(n, letters)
+            assert jones(w) == expected == bucket_jones(w), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(words(max_strands=6, max_letters=12))
+def test_jones_reduction_matches_bucket_oracle(w):
+    assert jones(w, guard=12) == bucket_jones(w)
+
+
+def test_jones_guard_reads_the_unreduced_word():
+    w = BraidWord(3, (1, -1) * 13)  # 26 letters that reduce to none
+    assert closure_pieces(w) == (BraidWord(1, ()),) * 3
+    assert jones(w) is None
+    b = bundle(w)
+    assert b.letters == 26 and b.jones is None
+    assert jones(w, guard=26) == bucket_jones(w)
+
+
 def test_jones_matches_torus_closed_form():
     for p, q in [(3, 2), (101, 2), (50, 3), (25, 4), (21, 5), (17, 7)]:
         assert jones(torus_braid(p, q), guard=10**6) == torus_jones_closed_form(p, q)
@@ -308,6 +358,8 @@ def test_alexander_jones_markov_invariance(w, g):
     alex = alexander(w)
     assert alexander(conj) == alex
     assert alexander(stab) == alex
-    jn = jones(w, guard=40)
+    # jones applies these very moves, so the oracle keeps the check independent
+    jn = bucket_jones(w)
+    assert jones(w, guard=40) == jn
     assert jones(stab, guard=40) == jn
     assert jones(conj, guard=40) == jn
