@@ -51,8 +51,10 @@ MAX_STRANDS = 100
 
 # bundle's time grows faster than the square of the letters: on a 2-core
 # x86-64 host T((3,2000)) (4000 letters) takes 1.5 s and T((3,2500)) 2.9 s,
-# but random 9-strand words of 1000 letters take 16 s (signed) to 77 s
-# (positive).  The limit stops T((3,10^9)) before 2 x 10^9 letters are built.
+# but random 9-strand words take 1.2 s (signed, 700 letters) and 3.4 s
+# (signed, 1000 letters), as alexander computes a signed word on two
+# half-words, and 80 s (positive, 1000 letters).  The limit stops
+# T((3,10^9)) before 2 x 10^9 letters are built.
 MAX_LETTERS = 5000
 
 

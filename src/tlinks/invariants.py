@@ -23,16 +23,20 @@ t^(k/4)), which keeps links with half-integer powers exact.
 
 Every word, positive or signed, takes the same exact path to Alexander, on
 packed integers from the first letter to the quotient: literal full twists
-are split off and become one shift by a power of t, since rho(Delta^2) =
-t^n I; the Burau columns of the other letters are updated as integers
-packed at t = 2^K1, K1 set by one norm bound per column; one digit pass
-reads their coefficients and lowest exponents; laurent.packed_determinant
-repacks the product minus the identity for one integer determinant; and the
-division by 1 + t + ... + t^(n-1) is one integer division whose quotient is
-unpacked once.  These widths and the Jones one come from proved bounds on
-coefficient size (see _burau_columns, laurent.packed_determinant,
-laurent.divide_by_strand_sum and jones), so the recovery of coefficients is
-exact, never heuristic.
+are split off and become a factor t^(nj), since rho(Delta^2) = t^n I.  A
+positive word keeps the matrix t^(nj) rho(rest) - I.  A signed word is cut in
+half, rest = w1 w2, and takes t^(nj) rho(w1) - rho(w2^-1) instead: it equals
+(rho(w) - I) rho(w2)^-1, and det rho(w2) is a unit +-t^e, so both give
+Alexander, but the halves pack about half as wide.  One column routine
+updates the Burau columns of either half as integers packed at t = 2^K1,
+O(m) per letter of either sign, K1 set by one norm bound per column of each
+half; one digit pass reads their coefficients and lowest exponents;
+laurent.packed_determinant repacks the matrix for one integer determinant;
+and the division by 1 + t + ... + t^(n-1) is one integer division whose
+quotient is unpacked once.  These widths and the Jones one come from proved
+bounds on coefficient size (see _packed_columns, _alexander_columns,
+laurent.packed_determinant, laurent.divide_by_strand_sum and jones), so the
+recovery of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
@@ -74,50 +78,46 @@ class InvariantBundle:
 # -- reduced Burau representation and Alexander polynomial ---------------------
 
 
-def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
-    """Columns of t^neg times the reduced Burau matrix, packed at t = 2^K1.
+def _column_bound(m: int, letters: tuple[int, ...]) -> int:
+    """B = max M_c, a bound on the l1 norm of every entry of rho(letters).
 
-    Returns (cols, K1, neg), neg the number of inverse letters: cols[c][r]
-    packs entry (r, c) of t^neg rho(w), a polynomial (see laurent.unpack).
-    Right multiplication by the matrix of sigma_i changes only column
-    c = i - 1, to t*col[c-1] - t*col[c] + col[c+1], where a neighbour outside
-    the matrix counts as zero.  The matrix of sigma_i^-1 has entries t^-1, so
-    an inverse letter is applied as t*sigma_i^-1 instead: column c becomes
-    t*col[c-1] - col[c] + col[c+1] and every other column is multiplied by t,
-    a shift by K1 bits.
-
-    Full twists.  The updates run only on the letters left once the j literal
-    full twists are split off (braid.split_full_twists), w = Delta^(2j) rest.
-    rho(Delta^2) = t^n I.  Delta^2 is central and at generic t the reduced
-    Burau representation is irreducible over an algebraically closed field
-    (over C whenever t is not a root of [n]_t; Formanek 1996), so by Schur's
-    lemma rho(Delta^2) is a scalar c.  det rho(sigma_i) = -t and Delta^2 has
-    n(n-1) letters, so c^(n-1) = t^(n(n-1)) and c = +-t^n; at t = 1, rho
-    factors through the symmetric group, where Delta^2 is the identity, so
-    c = t^n.  Hence rho(w) = t^(nj) rho(rest): the columns are shifted by
-    n j K1 bits at the end, and neg, the inverse letters of rest, counts all
-    of w's.
-
-    Burau width K1.  One integer M_c per column, from 1 (the identity),
-    bounds the l1 norm of every entry of column c: an update adds three
-    neighbours times monomials of coefficient +-1, so the new M_c is at most
-    M_(c-1) + M_c + M_(c+1), and a shift by t keeps a bound.  With B = max M_c
-    over the letters of rest, every coefficient of t^neg rho(rest) minus the
-    identity is at most B + 1 < 2^(K1-1) for K1 = bit_length(B + 1) + 1
-    (laurent.balanced_digits).  The factor t^(nj) is a monomial, so it keeps
-    every l1 norm and the same bound holds for t^neg rho(w) minus the identity.
+    One integer M_c per column, from 1 (the identity), bounds the l1 norm of
+    every entry of column c.  An update of column c (see _packed_columns)
+    adds its two neighbours and itself times monomials of coefficient +-1, so
+    the new M_c is at most M_(c-1) + M_c + M_(c+1); a factor t^N keeps every
+    l1 norm, so B bounds the entries of t^N rho(letters) too.
     """
-    m = w.strands - 1
-    twists, letters = split_full_twists(w)
     # a zero column on each side, so that column c = i - 1 sits at index i
     norms = [0] + [1] * m + [0]
     for i in map(abs, letters):
         norms[i] += norms[i - 1] + norms[i + 1]
-    k = (max(norms) + 1).bit_length() + 1
+    return max(norms)
 
+
+def _packed_columns(m: int, letters: tuple[int, ...], k: int, power: int) -> list[list[int]]:
+    """Columns of t^power rho(letters), the reduced Burau matrix, packed at t = 2^k.
+
+    power must be at least the number of inverse letters.  cols[c][r] packs
+    entry (r, c), a polynomial (see laurent.unpack).  The columns start as
+    t^power I.  Right multiplication by the matrix of sigma_i changes only
+    column c = i - 1, to t*col[c-1] - t*col[c] + col[c+1], and by the matrix
+    of sigma_i^-1 only column c, to col[c-1] + t^-1 (col[c+1] - col[c]); a
+    neighbour outside the matrix counts as zero.  Each letter is O(m).
+
+    Exact shift.  Division by t is the right shift `(d - b) >> k`, and it is
+    exact.  After p inverse letters the matrix is t^(power-p) times
+    t^p rho(prefix), a product of the matrices of sigma_i and t sigma_i^-1,
+    whose entries (0, +-1, +-t) have no negative exponent.  So while an
+    inverse letter is still to come, p < power and every entry is t times a
+    polynomial: it has no constant term.  Then d - b packs t Q for a
+    polynomial Q, its packed value is 2^k Q(2^k), and the floor shift by k
+    bits returns Q(2^k) exactly, negative values included.  Packing is
+    evaluation at 2^k, a ring homomorphism, so this holds at any k; the width
+    only matters when the entries are read back (_column_bound).
+    """
     zero = [0] * m
-    cols = [zero] + [[int(r == c) for r in range(m)] for c in range(m)] + [zero]
-    neg = 0
+    one = 1 << k * power
+    cols = [zero] + [[one if r == c else 0 for r in range(m)] for c in range(m)] + [zero]
     for letter in letters:
         if letter > 0:
             left, col, right = cols[letter - 1], cols[letter], cols[letter + 1]
@@ -125,14 +125,69 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
         else:
             i = -letter
             left, col, right = cols[i - 1], cols[i], cols[i + 1]
-            cols = [[x << k for x in other] for other in cols]
-            cols[i] = [(a << k) - b + d for a, b, d in zip(left, col, right)]
-            neg += 1
-    cols = cols[1:-1]
-    if twists:
-        shift = (m + 1) * twists * k
-        cols = [[x << shift for x in col] for col in cols]
-    return cols, k, neg
+            cols[i] = [a + ((d - b) >> k) for a, b, d in zip(left, col, right)]
+    return cols[1:-1]
+
+
+def _alexander_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
+    """Columns of the matrix whose determinant alexander reads, packed at t = 2^K1.
+
+    Returns (cols, K1, N): cols[c][r] packs, from t^0 up, entry (r, c) of
+    t^(nj) rho(rest) - I for a positive word (N = 0), or of
+    t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.  Either way the
+    determinant is +-t^e det(rho(w) - I) for some e.
+
+    Full twists.  The j literal full twists are split off first
+    (braid.split_full_twists), w = Delta^(2j) rest.  rho(Delta^2) = t^n I.
+    Delta^2 is central and at generic t the reduced Burau representation is
+    irreducible over an algebraically closed field (over C whenever t is not
+    a root of [n]_t; Formanek 1996), so by Schur's lemma rho(Delta^2) is a
+    scalar c.  det rho(sigma_i) = -t and Delta^2 has n(n-1) letters, so
+    c^(n-1) = t^(n(n-1)) and c = +-t^n; at t = 1, rho factors through the
+    symmetric group, where Delta^2 is the identity, so c = t^n.  Hence
+    rho(w) = t^(nj) rho(rest), and the factor t^(nj) is a start at a higher
+    power of t in _packed_columns.
+
+    Signed words.  rest = w1 w2, cut at h = floor(len(rest) / 2), and cols
+    pack t^N (t^(nj) rho(w1) - rho(w2^-1)), where w2^-1 is w2's letters
+    reversed and negated and N is the larger count of inverse letters of w1
+    and w2^-1.  Since rho(w) = t^(nj) rho(w1) rho(w2),
+
+        rho(w) - I = (t^(nj) rho(w1) - rho(w2)^-1) rho(w2),
+
+    and det rho(sigma_i^(+-1)) = (-t)^(+-1), so det rho(w2) is a unit +-t^e;
+    with the factor t^N, the two determinants agree up to a unit, which drops
+    out in the normalization.  Each half has about half the letters, so its
+    entries are about half as wide as those of rho(w).
+
+    Positive words keep t^(nj) rho(rest) - I: the same code with h = len(rest)
+    and an empty second half, N = 0, and -I subtracted on the diagonal only.
+    Their Burau products cancel to near-monomial matrices, where -I packs
+    shorter than a second half would.
+
+    Width K1.  With B1 and B2 the column bounds (_column_bound) of w1 and
+    w2^-1, every entry of t^(N+nj) rho(w1) has l1 norm at most B1 and every
+    entry of t^N rho(w2^-1) at most B2, so every coefficient of their
+    difference is at most B1 + B2 < 2^(K1-1) for K1 = bit_length(B1 + B2) + 1
+    (laurent.balanced_digits).  An empty second half is I, B2 = 1, which is
+    the width bit_length(B1 + 1) + 1 of rho(rest) - I.
+    """
+    n, m = w.strands, w.strands - 1
+    twists, letters = split_full_twists(w)
+    signed = bool(letters) and min(letters) < 0
+    h = len(letters) // 2 if signed else len(letters)
+    first = letters[:h]
+    second = tuple(-x for x in reversed(letters[h:]))
+    power = max(sum(x < 0 for x in first), sum(x < 0 for x in second))
+    k = (_column_bound(m, first) + _column_bound(m, second)).bit_length() + 1
+    cols = _packed_columns(m, first, k, power + n * twists)
+    if second:
+        subtrahend = _packed_columns(m, second, k, power)
+        cols = [[a - b for a, b in zip(col, sub)] for col, sub in zip(cols, subtrahend)]
+    else:
+        for c, col in enumerate(cols):
+            col[c] -= 1
+    return cols, k, power
 
 
 def alexander(w: BraidWord) -> LaurentPoly:
@@ -142,23 +197,20 @@ def alexander(w: BraidWord) -> LaurentPoly:
     lowest exponent is 0 and the lowest coefficient positive.
 
     One packed pipeline; no polynomial is built before the quotient.  The
-    Burau columns of t^neg rho(w) come packed at t = 2^K1 (_burau_columns),
-    and t^neg, packed as 1 << K1 neg, is subtracted from each diagonal entry.
-    One digit pass (laurent.digits_of) reads every entry.  The columns, the
-    rows of the transpose, which has the same determinant, go to
-    laurent.packed_determinant with the slack 2n + 1 that
-    laurent.divide_by_strand_sum needs to divide by [n]_t = 1 + t + ... +
-    t^(n-1) in packed form, unpack the quotient once and raise
-    InexactDivisionError unless the division is exact.  The determinant's
-    shift by a power of t is a unit and drops out in the normalization.
+    columns of a matrix with determinant +-t^e det(rho(w) - I) come packed at
+    t = 2^K1 (_alexander_columns): t^(nj) rho(rest) - I for a positive word,
+    t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.  One digit pass
+    (laurent.digits_of) reads every entry.  The columns, the rows of the
+    transpose, which has the same determinant, go to laurent.packed_determinant
+    with the slack 2n + 1 that laurent.divide_by_strand_sum needs to divide by
+    [n]_t = 1 + t + ... + t^(n-1) in packed form, unpack the quotient once and
+    raise InexactDivisionError unless the division is exact.  The unit +-t^e
+    and the determinant's shift by a power of t drop out in the normalization.
     """
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
-    cols, k, neg = _burau_columns(w)
-    one = 1 << k * neg
-    for c, col in enumerate(cols):
-        col[c] -= one
+    cols, k, _ = _alexander_columns(w)
     digit_cols = [[digits_of(v, k) for v in col] for col in cols]
     det, k2, bound, _ = packed_determinant(digit_cols, 2 * n + 1)
     if not det:

@@ -16,7 +16,7 @@ enumeration.
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
 helpers, and reduced_burau and determinant, which read the library's packed
-engines (invariants._burau_columns, laurent.packed_determinant) back as
+engines (invariants._packed_columns, laurent.packed_determinant) back as
 polynomial matrices so that the tests can compare those engines with the
 oracles.  They are views of the engines under test, not independent checks.
 """
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Permutation
 from tlinks.garside import NormalForm
-from tlinks.invariants import _burau_columns
+from tlinks.invariants import _column_bound, _packed_columns
 from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
@@ -417,14 +417,18 @@ def enumerate_torus_candidates(components: int, euler_char: int) -> list[tuple[i
 
 
 def reduced_burau(w: BraidWord) -> PolyMatrix:
-    """The packed Burau columns of alexander (invariants._burau_columns), unpacked.
+    """The packed Burau columns of alexander (invariants._packed_columns), unpacked.
 
-    Product of the (n-1)x(n-1) generator matrices, letters left to right.
+    Product of the (n-1)x(n-1) generator matrices of every letter, full twists
+    included, left to right.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
-    cols, k, neg = _burau_columns(w)
-    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(len(cols)))
+    m = w.strands - 1
+    k = _column_bound(m, w.letters).bit_length() + 1
+    neg = w.letter_stats().negative
+    cols = _packed_columns(m, w.letters, k, neg)
+    return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(m))
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:

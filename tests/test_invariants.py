@@ -22,14 +22,14 @@ from _oracles import (
 )
 from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
 from tlinks.invariants import (
-    _burau_columns,
+    _alexander_columns,
     alexander,
     bundle,
     euler_char,
     jones,
     torus_reference,
 )
-from tlinks.laurent import LaurentPoly
+from tlinks.laurent import LaurentPoly, unpack
 from tlinks.tlink import FullTwistForm, absorb_strands
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -157,10 +157,43 @@ def test_burau_and_alexander_with_full_twists_match_oracles():
         assert alexander(w) == expected
 
 
+def split_matrix(n, twists, first, second, power=0):
+    """t^power (t^(n twists) rho(first) - rho(second^-1)) by the oracle product."""
+    inverse = tuple(-x for x in reversed(second))
+    a = burau_product(BraidWord(n, first)).entries
+    b = burau_product(BraidWord(n, inverse)).entries
+    return PolyMatrix.from_rows(
+        [shifted(x, power + n * twists) - shifted(y, power) for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(words(max_strands=5, max_letters=12), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_split_determinant_matches_burau_minus_identity(w, twists, rng):
+    # det(rho(w) - I) = det(t^(nj) rho(w1) - rho(w2^-1)) det rho(w2) for
+    # w = Delta^(2j) w1 w2 at every cut, and det rho(w2) = (-t)^(exponent sum)
+    n, m = w.strands, w.strands - 1
+    letters = list(w.letters)
+    for _ in range(twists if n <= 4 else 0):
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = full_twist(n)
+    w = BraidWord(n, tuple(letters))
+    j, rest = split_full_twists(w)
+    whole = leibniz_determinant(matsub(burau_product(w), identity_matrix(m)))
+    for h in range(len(rest) + 1):
+        first, second = rest[:h], rest[h:]
+        exponent_sum = sum(1 if x > 0 else -1 for x in second)
+        unit = LaurentPoly.term((-1) ** (exponent_sum % 2), exponent_sum)
+        assert leibniz_determinant(split_matrix(n, j, first, second)) * unit == whole
+
+
 def test_burau_width_bounds_every_coefficient():
-    # every coefficient of t^neg (rho(w) - I), the matrix alexander unpacks at
-    # t = 2^K1, must lie in the balanced digit range |c| < 2^(K1-1), also when
-    # K1 comes from the letters left after the full twists are split off
+    # every coefficient of the matrix alexander unpacks at t = 2^K1 must lie
+    # in the balanced digit range |c| < 2^(K1-1), also when K1 comes from the
+    # letters left after the full twists are split off: t^N (t^(nj) rho(w1) -
+    # rho(w2^-1)) for signed words, cut at half the letters, and rho(w) - I
+    # for positive ones
     random.seed(20261018)
     cases = []
     for signs in ((1,), (1, -1)):
@@ -170,15 +203,22 @@ def test_burau_width_bounds_every_coefficient():
             letters = tuple(random.choice(signs) * random.randint(1, n - 1) for _ in range(length))
             cases.append(BraidWord(n, letters))
     cases += words_with_full_twists(20261022, count=24)
+    cases += [BraidWord(3, (1, 2, 1, 2, 1, 2, -1, 2, -1)), BraidWord(3, (-1,))]
     for w in cases:
-        _, k, neg = _burau_columns(w)
-        unit = LaurentPoly.t(neg)
-        m = w.strands - 1
-        rows = burau_product(w).entries
+        n, m = w.strands, w.strands - 1
+        cols, k, power = _alexander_columns(w)
+        if w.is_positive:
+            assert power == 0
+            matrix = matsub(burau_product(w), identity_matrix(m))
+        else:
+            j, rest = split_full_twists(w)
+            h = len(rest) // 2
+            matrix = split_matrix(n, j, rest[:h], rest[h:], power)
         for r in range(m):
             for c in range(m):
-                entry = shifted(rows[r][c], neg) - (unit if r == c else LaurentPoly.zero())
+                entry = matrix.entries[r][c]
                 assert all(abs(x) < 1 << k - 1 for _, x in entry.terms())
+                assert unpack(cols[c][r], k, 0) == entry
 
 
 def test_alexander_matches_leibniz_oracle():
