@@ -114,7 +114,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     if not form.q < form.a_max:
         raise _UsageError(
             f"rewrite applies when q < a_n; got q = {form.q}, a_n = {form.a_max}"
-            + (" (use the flipped presentation instead)" if form.a_max < form.q else "")
+            " (use the flipped presentation instead)"
         )
     trace = absorb_strands(form)
     for j, step in enumerate(trace.steps):
@@ -202,27 +202,28 @@ _CSV_FIELDS = [
 
 
 def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> None:
+    """The rows of report_rows flattened into _CSV_FIELDS; None is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-        for r in report.rows:
-            b = r.invariants
+        for row in report_rows(report, include_timings):
+            verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
             writer.writerow(
                 [
-                    r.text,
-                    ";".join(f"{a},{s}" for a, s in r.spec.pairs),
-                    r.verdict.kind,
-                    r.verdict.rule or "",
-                    r.certificate.kind,
-                    "|".join(f"{c.p}:{c.q}:{c.reason}" for c in r.certificate.candidates),
-                    int(r.certificate.guard_hit),
-                    b.components,
-                    b.letters,
-                    b.euler_char if b.euler_char is not None else "",
-                    b.braid_index if b.braid_index is not None else "",
-                    poly_text(b.alexander),
-                    poly_text(b.jones, quarter_exponents=True) if b.jones is not None else "",
-                    r.timing_ms if include_timings else 0,
+                    row["input"],
+                    ";".join(f"{a},{s}" for a, s in row["pairs"]),
+                    verdict["kind"],
+                    verdict["rule"],
+                    cert["kind"],
+                    "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
+                    int(cert["guardHit"]),
+                    inv["components"],
+                    inv["letters"],
+                    inv["eulerChar"],
+                    inv["braidIndex"],
+                    inv["alexander"],
+                    inv["jones"],
+                    row["timingMs"],
                 ]
             )
 

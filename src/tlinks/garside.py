@@ -173,8 +173,6 @@ def braid_index_by_full_twist(w: BraidWord) -> int | None:
     braid index exactly n; without a full twist the criterion says nothing
     and the result is absent rather than a bound.
     """
-    if w.strands == 1:
-        return 1
     if contains_full_twist(w):
         return w.strands
     return None

@@ -55,11 +55,13 @@ from .laurent import (
 )
 
 # Cost model of jones: per piece of the reduced word, about letters x
-# min(Catalan(strands), 2^letters) bucket updates, each a list lookup, a shift
+# min(Catalan(strands), 2^letters) bucket updates, each a dict lookup, a shift
 # and an add on an integer of at most 2 x letters digits of K = letters +
-# strands + 1 bits; the reduction itself is linear in the letters.  The guard
-# counts the letters of the word as given, before the reduction, so which
-# words get a Jones value does not depend on how far they reduce.
+# strands + 1 bits.  The reduction before it (braid.closure_pieces) is
+# repeated list scans; on every word measured it costs a small part of the
+# state sum on what it leaves.  The guard counts the letters of the word as
+# given, before the reduction, so which words get a Jones value does not
+# depend on how far they reduce.
 DEFAULT_JONES_GUARD = 24
 
 
@@ -273,8 +275,8 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     Numbered matchings.  Each matching gets an integer id when first made,
     and buckets are keyed by id.  The cup-cap smoothing of matching s at
     sigma_i is worked out once per call, when a bucket first needs it, and
-    kept in a list per generator as the id it leads to, or -1 where it closes
-    a loop.  A smoothing is then a list lookup and the shift-adds.
+    kept in a dict per generator as the id it leads to, or -1 where it closes
+    a loop.  A smoothing is then a dict lookup and the shift-adds.
 
     Digit width.  A crossing turns a bucket of l1 norm N into terms of norm N
     in two buckets, or in one at a kink, and sums are subadditive, so all
@@ -288,8 +290,8 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     matchings = [start]
     ids = {start: 0}
     # moves[i][s]: the id after the cup-cap smoothing of sigma_i, -1 at a
-    # kink, None until used; all n lists (moves[0] unused) have one length
-    moves: list[list[int | None]] = [[None] for _ in range(n)]
+    # kink; absent until used (moves[0] unused)
+    moves: list[dict[int, int]] = [{} for _ in range(n)]
 
     def cup_cap(s: int, i: int) -> int:
         m = matchings[s]
@@ -305,9 +307,6 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
         if t is None:
             t = ids[m2] = len(matchings)
             matchings.append(m2)
-            if t == len(moves[0]):  # make room for ids up to 2t - 1
-                for move in moves:
-                    move.extend([None] * t)
         return t
 
     states = {0: 1}
@@ -318,7 +317,7 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
         acc: dict[int, int] = {}
         get = acc.get
         for s, v in states.items():
-            t = move[s]
+            t = move.get(s)
             if t is None:
                 t = move[s] = cup_cap(s, i)
             if t < 0:

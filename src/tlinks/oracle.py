@@ -36,7 +36,6 @@ TORUS_MATCH = "TorusMatch"
 INCONCLUSIVE = "Inconclusive"
 
 REASON_COMPONENTS = "componentMismatch"
-REASON_EULER = "eulerCharMismatch"
 REASON_BRAID_INDEX = "braidIndexMismatch"
 REASON_ALEXANDER = "alexanderMismatch"
 REASON_JONES = "jonesMismatch"
@@ -158,13 +157,12 @@ def presentation_word(form: FullTwistForm) -> BraidWord:
 
     The standard word on p strands rarely exhibits a full twist, so the
     braid-index criterion would sit idle; after absorption (q < a_n) or the
-    base flip (a_n < q) the presentation carries one.
+    base flip (a_n < q) the presentation carries one.  FullTwistForm rejects
+    a_n = q, so one of the two applies.
     """
     if form.q < form.a_max:
         return absorb_strands(form).final
-    if form.a_max < form.q:
-        return standard_braid(flip_base(form))
-    return standard_braid(form.spec())
+    return standard_braid(flip_base(form))
 
 
 @dataclass(frozen=True)

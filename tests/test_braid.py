@@ -143,6 +143,17 @@ def test_closure_pieces():
     # a cascade: destabilizing sigma_3 lets 2 and -2, then 1 and -1 cancel
     assert closure_pieces(BraidWord(4, (1, 2, 3, -2, -1))) == (unknot,) * 3
     assert closure_pieces(BraidWord(3, (1, -1) * 13)) == (unknot,) * 3
+    # the -1 at index 2 meets the 1 at index 0 across the ends only after the
+    # later -1, 1 have cancelled, so one left-to-right scan leaves them
+    assert closure_pieces(BraidWord(4, (1, 2, -1, 3, -1, 1, 3))) == (
+        unknot,
+        BraidWord(2, (1, 1)),
+    )
+    # a long cascade: 1000 pairs 2, -2 cancel, and sigma_2 is then unused
+    assert closure_pieces(BraidWord(3, (1,) * 2000 + (2, -2) * 1000)) == (
+        BraidWord(2, (1,) * 2000),
+        unknot,
+    )
 
 
 def _reduced(piece: BraidWord) -> bool:
@@ -163,7 +174,7 @@ def _reduced(piece: BraidWord) -> bool:
 
 
 @settings(max_examples=200)
-@given(braid_words(max_strands=7, max_letters=14))
+@given(braid_words(max_strands=7, max_letters=30))
 def test_closure_pieces_are_reduced(w):
     pieces = closure_pieces(w)
     assert all(_reduced(p) for p in pieces)
