@@ -4,10 +4,12 @@ The classifier's verdicts are theorem-driven; this module is the ground
 truth they are validated against.  Given a positive braid word, the finitely
 many torus-link candidates (p, q) compatible with the closure's component
 count and Euler characteristic are enumerated, then eliminated one by one by
-comparing exact invariants against reference bundles of the genuine T(p, q):
-braid index (when the full-twist criterion applies on both sides), the
-unit-normalized Alexander polynomial, and the Jones polynomial (when the
-crossing guard permits it).
+comparing exact invariants against reference bundles of the genuine T(p, q),
+in the order of one table (_ELIMINATIONS): braid index (when the full-twist
+criterion applies on both sides), the unit-normalized Alexander polynomial,
+and the Jones polynomial (when the crossing guard permits it).  The first
+mismatch eliminates a candidate, so the reference computes only the fields
+it is compared on.
 
 A certificate never overclaims: TorusMatch means every comparison was
 available and agreed for exactly one candidate, an invariant-level match
@@ -68,26 +70,17 @@ def _chi_candidates(components: int, chi: int) -> tuple[list[tuple[int, int]], l
     """Ordered pairs q <= p with (p-1)(q-1) = 1 - chi, split by the gcd test.
 
     chi pins the product; gcd(p, q) must reproduce the component count.  The
-    q = 1 fibre (chi = 1) collapses to the single unknot representative.
+    divisors d = q - 1 ascend, so both lists come in ascending q.  The q = 1
+    fibre (chi = 1) collapses to the single unknot representative (1, 1).
     """
     target = 1 - chi
     if target < 0:
         return [], []
-    if target == 0:
-        pair = (1, 1)
-        return ([pair], []) if components == 1 else ([], [pair])
-    keep: list[tuple[int, int]] = []
-    pruned: list[tuple[int, int]] = []
-    for d in range(1, isqrt(target) + 1):
-        if target % d:
-            continue
-        p, q = target // d + 1, d + 1
-        if gcd(p, q) == components:
-            keep.append((p, q))
-        else:
-            pruned.append((p, q))
-    key = lambda pq: (pq[1], pq[0])
-    return sorted(keep, key=key), sorted(pruned, key=key)
+    # d = 1 divides every positive target, so the list is empty only at 0
+    pairs = [(target // d + 1, d + 1) for d in range(1, isqrt(target) + 1) if target % d == 0]
+    pairs = pairs or [(1, 1)]
+    keep = [pq for pq in pairs if gcd(*pq) == components]
+    return keep, [pq for pq in pairs if gcd(*pq) != components]
 
 
 def candidate_torus_params(b: InvariantBundle) -> list[tuple[int, int]]:
@@ -98,47 +91,51 @@ def candidate_torus_params(b: InvariantBundle) -> list[tuple[int, int]]:
     return keep
 
 
+# the bundle fields a candidate is compared on, in order, and the reason a
+# mismatch records
+_ELIMINATIONS = (
+    ("braid_index", REASON_BRAID_INDEX),
+    ("alexander", REASON_ALEXANDER),
+    ("jones", REASON_JONES),
+)
+
+
 def certify_bundle(b: InvariantBundle, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
-    """Certificate for a closure already summarized as an invariant bundle."""
+    """Certificate for a closure already summarized as an invariant bundle.
+
+    Each candidate that passes the component count is compared field by field
+    in _ELIMINATIONS order.  A field the bundle lacks is skipped before the
+    reference is read, so the lazy reference never computes it; a field the
+    reference lacks is skipped too.  The first mismatch eliminates the
+    candidate; a candidate that survives every field is matched, completely
+    when no field was skipped.
+    """
     if b.euler_char is None:
         raise ValueError("certification needs a positive braid word")
     keep, pruned = _chi_candidates(b.components, b.euler_char)
     results = [CandidateResult(p, q, REASON_COMPONENTS) for p, q in pruned]
-    guard_hit = b.jones is None
-    survivors: list[bool] = []  # completeness flag per surviving candidate
+    survivors: list[list[str]] = []  # the fields skipped for each matched candidate
     for p, q in keep:
         ref = torus_reference(p, q, guard)
-        if (
-            b.braid_index is not None
-            and ref.braid_index is not None
-            and b.braid_index != ref.braid_index
-        ):
-            results.append(CandidateResult(p, q, REASON_BRAID_INDEX))
-            continue
-        if b.alexander != ref.alexander:
-            results.append(CandidateResult(p, q, REASON_ALEXANDER))
-            continue
-        if b.jones is not None and ref.jones is not None:
-            if b.jones != ref.jones:
-                results.append(CandidateResult(p, q, REASON_JONES))
-                continue
-            jones_compared = True
+        skipped = []
+        for field, mismatch in _ELIMINATIONS:
+            ours = getattr(b, field)
+            theirs = None if ours is None else getattr(ref, field)
+            if theirs is None:
+                skipped.append(field)
+            elif ours != theirs:
+                results.append(CandidateResult(p, q, mismatch))
+                break
         else:
-            jones_compared = False
-            guard_hit = guard_hit or ref.jones is None
-        complete = (
-            jones_compared
-            and b.braid_index is not None
-            and ref.braid_index is not None
-        )
-        survivors.append(complete)
-        results.append(CandidateResult(p, q, REASON_MATCHED))
+            survivors.append(skipped)
+            results.append(CandidateResult(p, q, REASON_MATCHED))
     if not survivors:
         kind = NOT_TORUS
-    elif len(survivors) == 1 and survivors[0]:
+    elif survivors == [[]]:  # one match, with no field skipped
         kind = TORUS_MATCH
     else:
         kind = INCONCLUSIVE
+    guard_hit = b.jones is None or any("jones" in skipped for skipped in survivors)
     return Certificate(kind, tuple(results), guard_hit)
 
 

@@ -22,6 +22,7 @@ Three procedures operate on these words:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -260,81 +261,57 @@ def render_tlink(spec: TLinkSpec) -> str:
     return f"T({inner})"
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def byte_offset(self, pos: int | None = None) -> int:
-        end = self.pos if pos is None else pos
-        return len(self.text[:end].encode("utf-8"))
-
-    def error(self, message: str, pos: int | None = None) -> TLinkParseError:
-        return TLinkParseError(message, self.byte_offset(pos))
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise self.error(f"expected {ch!r}, found {found!r}")
-        self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def integer(self) -> tuple[int, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an unsigned integer")
-        return int(self.text[start : self.pos]), start
+_TOKEN = re.compile(r"[ \t\r\n]*([0-9]+|.|$)")
 
 
 def parse_tlink(text: str) -> TLinkSpec:
     """Parse `T((r1,s1),(r2,s2),...)`; errors carry byte offsets.
 
-    Constraint violations (r-values not strictly increasing, zero s-values)
-    are reported at the offending number.
+    The input is read as tokens: a run of ASCII digits, one other character,
+    or "" at the end, each after optional whitespace.  An error is raised at
+    the offending token, and every token before it is ASCII, so its character
+    index is its byte offset.  Constraint violations (r-values not strictly
+    increasing, zero s-values) are reported at the offending number.
     """
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() != "T":
-        raise sc.error("expected 'T'")
-    sc.pos += 1
-    sc.expect("(")
+    tokens = ((m[1], m.start(1)) for m in _TOKEN.finditer(text))
+
+    def expect(want: str, read: tuple[str, int] | None = None) -> None:
+        token, at = read or next(tokens)
+        if token != want:
+            # a run of digits is reported by its first digit
+            raise TLinkParseError(f"expected {want!r}, found {token[:1] or 'end of input'!r}", at)
+
+    def integer() -> tuple[int, int]:
+        token, at = next(tokens)
+        if not (token.isascii() and token.isdigit()):
+            raise TLinkParseError("expected an unsigned integer", at)
+        return int(token), at
+
+    token, at = next(tokens)
+    if token != "T":
+        raise TLinkParseError("expected 'T'", at)
+    expect("(")
     pairs: list[tuple[int, int]] = []
     positions: list[int] = []
-    while True:
-        sc.expect("(")
-        r, r_pos = sc.integer()
-        sc.expect(",")
-        s, s_pos = sc.integer()
-        sc.expect(")")
+    token = ","
+    while token == ",":
+        expect("(")
+        r, r_at = integer()
+        expect(",")
+        s, s_at = integer()
+        expect(")")
         if s < 1:
-            raise sc.error("s-values must be at least 1", s_pos)
+            raise TLinkParseError("s-values must be at least 1", s_at)
         pairs.append((r, s))
-        positions.append(r_pos)
-        nxt = sc.peek()
-        if nxt == ",":
-            sc.pos += 1
-            continue
-        break
-    sc.expect(")")
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise sc.error("trailing input after T-link expression")
+        positions.append(r_at)
+        token, at = next(tokens)
+    expect(")", (token, at))
+    token, at = next(tokens)
+    if token:
+        raise TLinkParseError("trailing input after T-link expression", at)
     if pairs[0][0] < 2:
-        raise TLinkParseError("r-values must be at least 2", sc.byte_offset(positions[0]))
+        raise TLinkParseError("r-values must be at least 2", positions[0])
     for i in range(1, len(pairs)):
         if pairs[i][0] <= pairs[i - 1][0]:
-            raise TLinkParseError(
-                "r-values must be strictly increasing", sc.byte_offset(positions[i])
-            )
+            raise TLinkParseError("r-values must be strictly increasing", positions[i])
     return TLinkSpec(tuple(pairs))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlinks.braid as braid_module
 from tlinks.braid import (
     BraidWord,
     Permutation,
@@ -154,6 +155,26 @@ def test_closure_pieces():
         BraidWord(2, (1,) * 2000),
         unknot,
     )
+
+
+def test_cancellation_cascades_across_commuting_letters(monkeypatch):
+    # sigma_1 ... sigma_97 sigma_97^-1 ... sigma_1^-1 on 100 strands with
+    # sigma_99^25 after each letter: after each pair cancels, the scan resumes
+    # at the next pair, so one scan deletes every pair and a second finds none
+    letters = []
+    for e in [*range(1, 98), *range(-97, 0)]:
+        letters += [e] + [99] * 25
+    scans = []
+    cancel_pass = braid_module._cancel_pass
+
+    def counted(word):
+        scans.append(len(word))
+        return cancel_pass(word)
+
+    monkeypatch.setattr(braid_module, "_cancel_pass", counted)
+    pieces = closure_pieces(BraidWord(100, tuple(letters)))
+    assert len(letters) == 5044 and len(scans) <= 2
+    assert [p for p in pieces if p.letters] == [BraidWord(2, (1,) * 4850)]
 
 
 def _reduced(piece: BraidWord) -> bool:

@@ -251,3 +251,23 @@ def test_cross_validate_jobs_agree():
         (r.text, r.verdict, r.certificate, r.invariants) for r in rows
     ]
     assert strip(seq.rows) == strip(par.rows)
+
+
+def test_sweep_computes_each_reference_field_only_when_compared(monkeypatch):
+    # a candidate reads the braid index, then Alexander, then Jones, and stops
+    # at its first mismatch, so at p <= 7 most references never build the
+    # costly polynomials
+    made = []
+
+    class Recorded(invariants.TorusReference):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    torus_reference.cache_clear()
+    monkeypatch.setattr(invariants, "TorusReference", Recorded)
+    cross_validate(7)
+    torus_reference.cache_clear()
+    computed = {f: sum(f in vars(r) for r in made) for f in ("braid_index", "alexander", "jones")}
+    assert len(made) == 175
+    assert computed == {"braid_index": 175, "alexander": 23, "jones": 3}

@@ -185,3 +185,47 @@ def test_render_parse_round_trip():
     for text in ["T((2,3))", "T((3,3),(5,2))", "T((2,2),(3,6),(7,4))"]:
         spec = parse_tlink(text)
         assert parse_tlink(render_tlink(spec)) == spec
+
+
+PARSE_ERRORS = [
+    # (input, message, byte offset): every message parse_tlink raises
+    ("", "expected 'T'", 0),
+    ("  t((2,3))", "expected 'T'", 2),
+    ("T", "expected '(', found 'end of input'", 1),
+    ("T[(2,3))", "expected '(', found '['", 1),
+    ("T12", "expected '(', found '1'", 1),
+    ("T(2,3)", "expected '(', found '2'", 2),
+    ("T((2,3),)", "expected '(', found ')'", 8),
+    ("T((x,3))", "expected an unsigned integer", 3),
+    ("T((2,-3))", "expected an unsigned integer", 5),
+    ("T((2,é))", "expected an unsigned integer", 5),
+    ("T((2 3))", "expected ',', found '3'", 5),
+    ("T((2,3]", "expected ')', found ']'", 6),
+    ("T((2,3)", "expected ')', found 'end of input'", 7),
+    ("T((2,3);", "expected ')', found ';'", 7),
+    ("T((2,3)\u00a0)", "expected ')', found '\\xa0'", 7),
+    ("T((2,0))", "s-values must be at least 1", 5),
+    ("T((2,3)) tail", "trailing input after T-link expression", 9),
+    ("T((2,3)),", "trailing input after T-link expression", 8),
+    ("T((2,3))é", "trailing input after T-link expression", 8),
+    ("T((1,3))", "r-values must be at least 2", 3),
+    ("T((5,2),(3,3))", "r-values must be strictly increasing", 9),
+    ("T( (2,3) ,\n(3,3), ( 3,1))", "r-values must be strictly increasing", 20),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
+def test_parse_tlink_error_table(text, message, offset):
+    with pytest.raises(TLinkParseError) as exc:
+        parse_tlink(text)
+    assert str(exc.value) == f"{message} (byte {offset})"
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["T((2,²))", "T((2,٣))", "T((2,３))"])
+def test_parse_tlink_reads_only_ascii_digits(text):
+    # superscript two, Arabic-Indic three and fullwidth three are digits to
+    # str.isdigit, but not numbers of the grammar
+    with pytest.raises(TLinkParseError) as exc:
+        parse_tlink(text)
+    assert str(exc.value) == "expected an unsigned integer (byte 5)"
