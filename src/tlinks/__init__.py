@@ -1,10 +1,10 @@
 """Exact computational toolkit for T-links (Lorenz links).
 
-Braid words and Markov moves, Garside normal form with the full-twist braid
-index criterion, exact Alexander and Jones invariants, the torus-link
-classifier for T-links obtained by full twists along torus links, and an
-independent certification oracle that eliminates torus candidates by
-invariant comparison.
+Braid words and Markov moves, Garside normal form, invariant bundles with
+the full-twist braid index criterion and exact Alexander and Jones
+polynomials, the torus-link classifier for T-links obtained by full twists
+along torus links, and an independent certification oracle that eliminates
+torus candidates by invariant comparison.
 """
 
 from .braid import BraidWord, LetterStats, Permutation, braid_text, parse_braid_text, torus_braid
@@ -18,14 +18,7 @@ from .classify import (
     classify_pairs,
     classify_spec,
 )
-from .garside import (
-    NormalForm,
-    braid_index_by_full_twist,
-    contains_full_twist,
-    delta_word,
-    infimum,
-    normal_form,
-)
+from .garside import NormalForm, delta_word, infimum, normal_form
 from .invariants import (
     DEFAULT_JONES_GUARD,
     InvariantBundle,

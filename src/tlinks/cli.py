@@ -33,6 +33,7 @@ from .oracle import Certificate, SweepReport, certify, cross_validate
 from .tlink import (
     TLinkParseError,
     absorb_strands,
+    markov_reduce,
     parse_tlink,
     standard_braid,
     to_full_twist_form,
@@ -107,7 +108,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    spec = parse_tlink(args.input)
+    # the gateway of classify_spec: Markov reduction, then the full-twist shape
+    spec = markov_reduce(parse_tlink(args.input))
     form = to_full_twist_form(spec)
     if form is None:
         raise _UsageError(f"{spec} is not of full-twist form over a torus base")

@@ -6,11 +6,8 @@ which every pair of strands crosses at most once, hence identified with a
 permutation) and every adjacent pair is left-weighted: the starting set of
 the right factor is contained in the finishing set of the left factor.  Equal
 positive words get identical normal forms, which settles the word problem and
-makes "contains a full twist" decidable as infimum >= 2.  The full-twist test
-feeds the braid-index criterion for positive braids: an n-strand positive
-braid containing Delta^2 has braid index exactly n.  It looks for a literal
-Delta^2 factor first, which settles every sweep word and torus braid without
-a normal form.
+makes "contains a full twist" decidable as infimum >= 2 (the braid-index
+criterion in invariants reads it when a word has no literal full twist).
 
 The form is built incrementally (El-Rifai & Morton 1994, "Algorithms for
 positive braids"; Epstein et al., *Word Processing in Groups*, ch. 9): the
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation, split_full_twists
+from .braid import BraidWord, Permutation
 
 
 def _times(p: list[int], inv: list[int], g: int) -> None:
@@ -147,32 +144,3 @@ def infimum(w: BraidWord) -> int:
     """The Delta-power of the normal form, counted in half twists."""
     return normal_form(w).infimum
 
-
-def contains_full_twist(w: BraidWord) -> bool:
-    """Whether the full twist Delta^2 left-divides the positive word.
-
-    Literal factor first, then the infimum.  Delta^2 is central, so a literal
-    block (sigma_1...sigma_{n-1})^n anywhere in w = A Delta^2 B gives
-    w = Delta^2 A B, and Delta^2 left-divides w (braid.split_full_twists).
-    Otherwise the Garside infimum decides, since Delta^2 can be hidden by
-    braid relations, e.g. (sigma_2 sigma_1)^3 on 3 strands.  On a single
-    strand the test is vacuously true (the closure is an unknot and the empty
-    full twist divides everything).
-    """
-    if not w.is_positive:
-        raise ValueError("the full-twist test is defined here for positive words only")
-    if w.strands == 1:
-        return True
-    return split_full_twists(w)[0] >= 1 or infimum(w) >= 2
-
-
-def braid_index_by_full_twist(w: BraidWord) -> int | None:
-    """Exact braid index when the full-twist criterion applies, else None.
-
-    A positive n-strand braid containing a full twist closes to a link of
-    braid index exactly n; without a full twist the criterion says nothing
-    and the result is absent rather than a bound.
-    """
-    if contains_full_twist(w):
-        return w.strands
-    return None

@@ -1,33 +1,38 @@
 """Exact link invariants of braid closures.
 
-Four engines feed one bundle per word:
+Five engines feed one bundle per word.  The bundle splits the literal full
+twists off the word once, w = Delta^(2j) rest (braid.split_full_twists), and
+every engine that has a use for the split reads (j, rest) from that one call:
 
-* components, from the word's permutation;
+* components, from the permutation of rest: Delta^2 is a pure braid, so
+  A Delta^2 B permutes the strands as A B does;
 * Euler characteristic of the Bennequin surface of a positive word, which is
   genus-minimizing, so chi = strands - letters is a link invariant;
+* the braid index of a positive word, by the full-twist criterion
+  (_braid_index): n when j >= 1 or the Garside infimum is at least 2;
 * the one-variable Alexander polynomial through the reduced Burau
   representation: det(rho(w) - I) equals, up to a unit +-t^k, the Alexander
-  polynomial times (1 + t + ... + t^{n-1});
+  polynomial times (1 + t + ... + t^{n-1}); alexander takes rest and j;
 * the Jones polynomial through the Kauffman bracket, under a crossing guard
   on the word as given: the word is first reduced by exact moves and split
   into pieces (braid.closure_pieces), and each piece is summed with one
   integer packed at t^(1/2) = 2^K per planar-matching bucket.
 
-Torus references (torus_reference), the one cache, compute each invariant
-on its first read, so a candidate settled by the braid index never builds
-an Alexander or Jones polynomial.
+Torus references (torus_reference), the one cache, compute Alexander and
+Jones on their first read, so a candidate settled by the braid index never
+builds an Alexander or Jones polynomial.
 
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
 t^(k/4)), which keeps links with half-integer powers exact.
 
 Every word, positive or signed, takes the same exact path to Alexander, on
-packed integers from the first letter to the quotient: literal full twists
-are split off and become a factor t^(nj), since rho(Delta^2) = t^n I.  A
-positive word keeps the matrix t^(nj) rho(rest) - I.  A signed word is cut in
-half, rest = w1 w2, and takes t^(nj) rho(w1) - rho(w2^-1) instead: it equals
-(rho(w) - I) rho(w2)^-1, and det rho(w2) is a unit +-t^e, so both give
-Alexander, but the halves pack about half as wide.  One column routine
+packed integers from the first letter to the quotient: the j full twists
+split off by the caller become a factor t^(nj), since rho(Delta^2) = t^n I.
+A positive word keeps the matrix t^(nj) rho(rest) - I.  A signed word is cut
+in half, rest = w1 w2, and takes t^(nj) rho(w1) - rho(w2^-1) instead: it
+equals (rho(w) - I) rho(w2)^-1, and det rho(w2) is a unit +-t^e, so both
+give Alexander, but the halves pack about half as wide.  One column routine
 updates the Burau columns of either half as integers packed at t = 2^K1,
 O(m) per letter of either sign, K1 set by one norm bound per column of each
 half; one digit pass reads their coefficients and lowest exponents;
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .braid import BraidWord, closure_pieces, split_full_twists, torus_braid
-from .garside import braid_index_by_full_twist
+from .garside import infimum
 from .laurent import (
     LaurentPoly,
     digits_of,
@@ -131,20 +136,20 @@ def _packed_columns(m: int, letters: tuple[int, ...], k: int, power: int) -> lis
     return cols[1:-1]
 
 
-def _alexander_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
+def _alexander_columns(rest: BraidWord, twists: int) -> tuple[list[list[int]], int, int]:
     """Columns of the matrix whose determinant alexander reads, packed at t = 2^K1.
 
-    Returns (cols, K1, N): cols[c][r] packs, from t^0 up, entry (r, c) of
-    t^(nj) rho(rest) - I for a positive word (N = 0), or of
-    t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.  Either way the
-    determinant is +-t^e det(rho(w) - I) for some e.
+    Returns (cols, K1, N) for w = Delta^(2j) rest, j = twists: cols[c][r]
+    packs, from t^0 up, entry (r, c) of t^(nj) rho(rest) - I for a positive
+    rest (N = 0), or of t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.
+    Either way the determinant is +-t^e det(rho(w) - I) for some e.
 
-    Full twists.  The j literal full twists are split off first
-    (braid.split_full_twists), w = Delta^(2j) rest.  rho(Delta^2) = t^n I.
-    Delta^2 is central and at generic t the reduced Burau representation is
-    irreducible over an algebraically closed field (over C whenever t is not
-    a root of [n]_t; Formanek 1996), so by Schur's lemma rho(Delta^2) is a
-    scalar c.  det rho(sigma_i) = -t and Delta^2 has n(n-1) letters, so
+    Full twists.  j comes apart from the letters of rest, so no letter of a
+    twist is read here.  rho(Delta^2) = t^n I.  Delta^2 is central and at
+    generic t the reduced Burau representation is irreducible over an
+    algebraically closed field (over C whenever t is not a root of [n]_t;
+    Formanek 1996), so by Schur's lemma rho(Delta^2) is a scalar c.
+    det rho(sigma_i) = -t and Delta^2 has n(n-1) letters, so
     c^(n-1) = t^(n(n-1)) and c = +-t^n; at t = 1, rho factors through the
     symmetric group, where Delta^2 is the identity, so c = t^n.  Hence
     rho(w) = t^(nj) rho(rest), and the factor t^(nj) is a start at a higher
@@ -174,8 +179,7 @@ def _alexander_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
     (laurent.balanced_digits).  An empty second half is I, B2 = 1, which is
     the width bit_length(B1 + 1) + 1 of rho(rest) - I.
     """
-    n, m = w.strands, w.strands - 1
-    twists, letters = split_full_twists(w)
+    n, m, letters = rest.strands, rest.strands - 1, rest.letters
     signed = bool(letters) and min(letters) < 0
     h = len(letters) // 2 if signed else len(letters)
     first = letters[:h]
@@ -192,27 +196,31 @@ def _alexander_columns(w: BraidWord) -> tuple[list[list[int]], int, int]:
     return cols, k, power
 
 
-def alexander(w: BraidWord) -> LaurentPoly:
-    """Unit-normalized one-variable Alexander polynomial of the closure.
+def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
+    """Unit-normalized one-variable Alexander polynomial of the closure of Delta^(2 twists) w.
 
     Zero (the empty map) for split closures such as unlinks; otherwise the
-    lowest exponent is 0 and the lowest coefficient positive.
+    lowest exponent is 0 and the lowest coefficient positive.  The braid is
+    Delta^(2j) rest with j = twists and rest = w; w is not scanned for more
+    full twists (bundle passes the split of braid.split_full_twists).
 
     One packed pipeline; no polynomial is built before the quotient.  The
-    columns of a matrix with determinant +-t^e det(rho(w) - I) come packed at
-    t = 2^K1 (_alexander_columns): t^(nj) rho(rest) - I for a positive word,
-    t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.  One digit pass
-    (laurent.digits_of) reads every entry.  The columns, the rows of the
-    transpose, which has the same determinant, go to laurent.packed_determinant
-    with the slack 2n + 1 that laurent.divide_by_strand_sum needs to divide by
-    [n]_t = 1 + t + ... + t^(n-1) in packed form, unpack the quotient once and
-    raise InexactDivisionError unless the division is exact.  The unit +-t^e
-    and the determinant's shift by a power of t drop out in the normalization.
+    columns of a matrix with determinant +-t^e det(rho(Delta^(2j) rest) - I)
+    come packed at t = 2^K1 (_alexander_columns): t^(nj) rho(rest) - I for a
+    positive rest, t^N (t^(nj) rho(w1) - rho(w2^-1)) for a signed one.  One
+    digit pass (laurent.digits_of) reads every entry.  The columns, the rows of
+    the transpose, which has the same determinant, go to
+    laurent.packed_determinant with the slack 2n + 1 that
+    laurent.divide_by_strand_sum needs to divide by
+    [n]_t = 1 + t + ... + t^(n-1) in packed form, unpack the quotient once
+    and raise InexactDivisionError unless the division is exact.  The unit
+    +-t^e and the determinant's shift by a power of t drop out in the
+    normalization.
     """
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
-    cols, k, _ = _alexander_columns(w)
+    cols, k, _ = _alexander_columns(w, twists)
     digit_cols = [[digits_of(v, k) for v in col] for col in cols]
     det, k2, bound, _ = packed_determinant(digit_cols, 2 * n + 1)
     if not det:
@@ -381,15 +389,37 @@ def euler_char(w: BraidWord) -> int:
     return w.strands - len(w.letters)
 
 
+def _braid_index(w: BraidWord, twists: int) -> int | None:
+    """Braid index of a positive word's closure by the full-twist criterion, else None.
+
+    twists is the count of literal full twists braid.split_full_twists found
+    in w.  Franks and Williams (Trans. AMS 1987): a positive n-strand braid
+    containing Delta^2 closes to a link of braid index exactly n; without a
+    full twist the criterion says nothing, so the result is None, not a bound.
+    Literal twist first, then the infimum: Delta^2 is central, so a literal
+    block anywhere in w = A Delta^2 B gives w = Delta^2 A B, which settles
+    every sweep word and torus braid without a normal form.  Otherwise the
+    Garside infimum decides (infimum >= 2), since Delta^2 can be hidden by
+    braid relations, e.g. (sigma_2 sigma_1)^3 on 3 strands.  One strand
+    closes to an unknot, of braid index 1.
+    """
+    n = w.strands
+    if n == 1 or twists >= 1 or infimum(w) >= 2:
+        return n
+    return None
+
+
 def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
-    """Run every engine applicable to the word."""
+    """Run every engine applicable to the word, on one split w = Delta^(2j) rest."""
+    twists, letters = split_full_twists(w)
+    rest = BraidWord(w.strands, letters)
     positive = w.is_positive
     return InvariantBundle(
-        components=w.component_count(),
+        components=rest.component_count(),
         letters=len(w.letters),
         euler_char=euler_char(w) if positive else None,
-        braid_index=braid_index_by_full_twist(w) if positive else None,
-        alexander=alexander(w),
+        braid_index=_braid_index(w, twists) if positive else None,
+        alexander=alexander(rest, twists),
         jones=jones(w, guard),
     )
 
@@ -398,27 +428,26 @@ class TorusReference:
     """Invariant bundle of T(p, q) whose costly fields are computed when first read.
 
     It has the field names of InvariantBundle.  The braid
-    (sigma_1...sigma_{q-1})^p is built once and kept as word; components,
-    letters and euler_char are set at once, and braid_index, alexander and
-    jones each run their engine on word on its first read and keep the value.
-    A certificate reads the braid index first and stops at the first mismatch,
-    so most references never build an Alexander or Jones polynomial.
+    (sigma_1...sigma_{q-1})^p is built once, kept as word and split once as
+    in bundle; alexander and jones run their engine on their first read, the
+    other fields at once.  A certificate reads the braid index first and
+    stops at the first mismatch, so most references never build an
+    Alexander or Jones polynomial.
     """
 
     def __init__(self, p: int, q: int, guard: int):
         self.word = w = torus_braid(p, q)
         self.guard = guard
-        self.components = w.component_count()
+        self.twists, letters = split_full_twists(w)
+        self.rest = BraidWord(q, letters)
+        self.components = self.rest.component_count()
         self.letters = len(w.letters)
         self.euler_char = euler_char(w)
-
-    @cached_property
-    def braid_index(self) -> int | None:
-        return braid_index_by_full_twist(self.word)
+        self.braid_index = _braid_index(w, self.twists)
 
     @cached_property
     def alexander(self) -> LaurentPoly:
-        return alexander(self.word)
+        return alexander(self.rest, self.twists)
 
     @cached_property
     def jones(self) -> LaurentPoly | None:
@@ -432,8 +461,8 @@ def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> TorusRe
     Runs the engines on the standard braid (sigma_1...sigma_{q-1})^p on q
     strands (callers pass q <= p, so this is the cheaper presentation) rather
     than trusting closed-form tables; the Alexander closed form survives only
-    as an independent cross-check in the test suite.  Each invariant is
-    computed on its first read (TorusReference).
+    as an independent cross-check in the test suite.  Alexander and Jones are
+    computed on their first read (TorusReference).
 
     This is the one cached engine.  Its keys are the (p, q, guard) candidates
     of a sweep grid, a small set (428 at p <= 9) that every row's

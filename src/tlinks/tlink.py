@@ -271,7 +271,8 @@ def parse_tlink(text: str) -> TLinkSpec:
     or "" at the end, each after optional whitespace.  An error is raised at
     the offending token, and every token before it is ASCII, so its character
     index is its byte offset.  Constraint violations (r-values not strictly
-    increasing, zero s-values) are reported at the offending number.
+    increasing, zero s-values) and numbers of more digits than int() converts
+    (sys.get_int_max_str_digits) are reported at the offending number.
     """
     tokens = ((m[1], m.start(1)) for m in _TOKEN.finditer(text))
 
@@ -285,7 +286,10 @@ def parse_tlink(text: str) -> TLinkSpec:
         token, at = next(tokens)
         if not (token.isascii() and token.isdigit()):
             raise TLinkParseError("expected an unsigned integer", at)
-        return int(token), at
+        try:
+            return int(token), at
+        except ValueError:  # more digits than the interpreter converts
+            raise TLinkParseError(f"integer of {len(token)} digits is too long", at) from None
 
     token, at = next(tokens)
     if token != "T":

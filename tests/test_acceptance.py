@@ -10,10 +10,10 @@ from itertools import product
 from math import gcd
 
 from _oracles import relation_closure, torus_alexander_closed_form
-from tlinks.braid import BraidWord, torus_braid
+from tlinks.braid import BraidWord, split_full_twists, torus_braid
 from tlinks.classify import EXCEPTIONAL_FAMILY, NOT_TORUS_LINK, classify_form, classify_spec
-from tlinks.garside import braid_index_by_full_twist, contains_full_twist, normal_form
-from tlinks.invariants import alexander, euler_char, jones
+from tlinks.garside import normal_form
+from tlinks.invariants import alexander, bundle, euler_char, jones
 from tlinks.laurent import LaurentPoly
 from tlinks.oracle import NOT_TORUS, TORUS_MATCH, certify, cross_validate, enumerate_forms
 from tlinks.tlink import (
@@ -65,8 +65,8 @@ def test_criterion_absorption_trace_validity():
             assert euler_char(step) == base_chi
             assert step.component_count() == base_components
             assert alexander(step) == base_alex
-        assert contains_full_twist(trace.final)
-        assert braid_index_by_full_twist(trace.final) == form.a_max
+        assert split_full_twists(trace.final)[0] >= 1
+        assert bundle(trace.final).braid_index == form.a_max
     _report(f"absorption trace validity ({len(forms)} forms, p <= 9)", start, 300)
 
 
@@ -83,7 +83,7 @@ def test_criterion_flip_validity():
         assert flipped.strands == form.q
         assert alexander(flipped) == alexander(original)
         assert flipped.component_count() == original.component_count()
-        assert braid_index_by_full_twist(flipped) == form.q
+        assert bundle(flipped).braid_index == form.q
     _report(f"base flip validity ({len(forms)} forms, p <= 9)", start, 120)
 
 

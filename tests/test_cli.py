@@ -44,6 +44,17 @@ def test_rewrite_command(capsys):
     assert lines[-1] == "final word on 3 strands"
 
 
+def test_rewrite_reads_input_through_markov_reduction(capsys):
+    # classify and rewrite both see T((3,3),(5,2)) after the trailing
+    # exponent-1 syllable collapses
+    text = "T((3,3),(5,1),(6,1))"
+    code, out, _ = run(capsys, "classify", text)
+    assert (code, out.strip()) == (EXIT_OK, "NotTorusLink (Lemma 2.4: q=2 < a_n=3)")
+    code, out, _ = run(capsys, "rewrite", text)
+    assert code == EXIT_OK
+    assert out == run(capsys, "rewrite", "T((3,3),(5,2))")[1]
+
+
 def test_rewrite_requires_absorption_shape(capsys):
     code, _, err = run(capsys, "rewrite", "T((2,2),(5,3))")
     assert code == EXIT_USAGE

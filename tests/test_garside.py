@@ -15,13 +15,7 @@ from _oracles import (
     starting_set,
 )
 from tlinks.braid import BraidWord, Permutation, torus_braid
-from tlinks.garside import (
-    braid_index_by_full_twist,
-    contains_full_twist,
-    delta_word,
-    infimum,
-    normal_form,
-)
+from tlinks.garside import delta_word, infimum, normal_form
 from tlinks.oracle import enumerate_forms
 from tlinks.tlink import standard_braid
 
@@ -63,43 +57,6 @@ def test_infimum_examples():
     assert infimum(d.concat(d)) == 2
     assert infimum(BraidWord(3, (1,))) == 0
     assert infimum(torus_braid(5, 3)) >= 2  # (s1 s2)^3 is the full twist
-
-
-def test_contains_full_twist():
-    assert contains_full_twist(torus_braid(3, 3))
-    assert not contains_full_twist(BraidWord(3, (1, 2)))
-    assert contains_full_twist(BraidWord(1, ()))
-
-
-def test_contains_full_twist_agrees_with_infimum():
-    rng = random.Random(20261023)
-    words = [torus_braid(3, 3), torus_braid(7, 3), torus_braid(9, 4)]
-    # literal blocks inside positive words
-    for n in range(2, 7):
-        for _ in range(4):
-            letters = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
-            pos = rng.randint(0, len(letters))
-            letters[pos:pos] = list(range(1, n)) * n
-            words.append(BraidWord(n, tuple(letters)))
-    # full twists hidden by braid relations
-    words.append(BraidWord(3, (2, 1, 2, 1, 2, 1)))
-    words += [delta_word(n).concat(delta_word(n)) for n in range(2, 7)]
-    # random positive words, full twists rare
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 30)))))
-    assert sum(map(contains_full_twist, words)) > 30
-    for w in words:
-        assert contains_full_twist(w) == (infimum(w) >= 2), w
-    with pytest.raises(ValueError):
-        contains_full_twist(BraidWord(3, (1, 2, 1, 2, 1, 2, -1)))
-
-
-def test_braid_index_by_full_twist():
-    assert braid_index_by_full_twist(torus_braid(5, 3)) == 3
-    assert braid_index_by_full_twist(BraidWord(3, (1,))) is None
-    assert braid_index_by_full_twist(BraidWord(1, ())) == 1
-    assert braid_index_by_full_twist(BraidWord(2, (1, 1, 1))) == 2
 
 
 def test_delta_squared_normal_forms():

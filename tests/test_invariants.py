@@ -20,9 +20,13 @@ from _oracles import (
     torus_alexander_closed_form,
     torus_jones_closed_form,
 )
+from tlinks import invariants
 from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
+from tlinks.garside import delta_word, infimum
 from tlinks.invariants import (
+    TorusReference,
     _alexander_columns,
+    _braid_index,
     alexander,
     bundle,
     euler_char,
@@ -155,6 +159,8 @@ def test_burau_and_alexander_with_full_twists_match_oracles():
         strand_sum = LaurentPoly({e: 1 for e in range(w.strands)})
         expected = divide_exact(det, strand_sum).unit_normalized() if det else det
         assert alexander(w) == expected
+        j, rest = split_full_twists(w)
+        assert alexander(BraidWord(w.strands, rest), j) == expected
 
 
 def split_matrix(n, twists, first, second, power=0):
@@ -206,12 +212,12 @@ def test_burau_width_bounds_every_coefficient():
     cases += [BraidWord(3, (1, 2, 1, 2, 1, 2, -1, 2, -1)), BraidWord(3, (-1,))]
     for w in cases:
         n, m = w.strands, w.strands - 1
-        cols, k, power = _alexander_columns(w)
+        j, rest = split_full_twists(w)
+        cols, k, power = _alexander_columns(BraidWord(n, rest), j)
         if w.is_positive:
             assert power == 0
             matrix = matsub(burau_product(w), identity_matrix(m))
         else:
-            j, rest = split_full_twists(w)
             h = len(rest) // 2
             matrix = split_matrix(n, j, rest[:h], rest[h:], power)
         for r in range(m):
@@ -374,6 +380,86 @@ def test_bundle_examples():
     assert split.components == 2 and split.jones is not None
     mixed = bundle(BraidWord(3, (1, -2)))
     assert mixed.euler_char is None and mixed.braid_index is None
+
+
+def braid_index(w):
+    return _braid_index(w, split_full_twists(w)[0])
+
+
+def test_braid_index_examples():
+    assert braid_index(torus_braid(5, 3)) == 3
+    assert braid_index(BraidWord(3, (1,))) is None
+    assert braid_index(BraidWord(1, ())) == 1
+    assert braid_index(BraidWord(2, (1, 1, 1))) == 2
+
+
+def test_braid_index_sees_full_twists():
+    assert braid_index(torus_braid(3, 3)) == 3
+    assert braid_index(BraidWord(3, (1, 2))) is None
+    # one strand: the empty full twist divides everything
+    assert braid_index(BraidWord(1, ())) == 1
+
+
+def test_braid_index_agrees_with_infimum():
+    # literal twist first, then the infimum: the criterion holds exactly when
+    # the Garside infimum is at least 2
+    rng = random.Random(20261023)
+    words = [torus_braid(3, 3), torus_braid(7, 3), torus_braid(9, 4)]
+    # literal blocks inside positive words
+    for n in range(2, 7):
+        for _ in range(4):
+            letters = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+            pos = rng.randint(0, len(letters))
+            letters[pos:pos] = list(range(1, n)) * n
+            words.append(BraidWord(n, tuple(letters)))
+    # full twists hidden by braid relations
+    words.append(BraidWord(3, (2, 1, 2, 1, 2, 1)))
+    words += [delta_word(n).concat(delta_word(n)) for n in range(2, 7)]
+    # random positive words, full twists rare
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 30)))))
+    found = [braid_index(w) for w in words]
+    assert sum(b is not None for b in found) > 30
+    for w, b in zip(words, found):
+        assert b == (w.strands if infimum(w) >= 2 else None), w
+        assert bundle(w, guard=0).braid_index == b, w
+    # a signed word gets no braid index, literal twist or not
+    assert bundle(BraidWord(3, (1, 2, 1, 2, 1, 2, -1))).braid_index is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(words(max_strands=5, max_letters=10), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_bundle_reads_the_split(w, twists, rng):
+    # components and Alexander from (j, rest) agree with the whole word, for
+    # signed and positive words with 0-3 literal full twists anywhere
+    n = w.strands
+    letters = list(w.letters)
+    for _ in range(twists):
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = full_twist(n)
+    w = BraidWord(n, tuple(letters))
+    j, rest = split_full_twists(w)
+    assert bundle(w).components == w.component_count()
+    assert alexander(BraidWord(n, rest), j) == alexander(w)
+
+
+def test_each_word_is_split_once(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return split_full_twists(w)
+
+    monkeypatch.setattr(invariants, "split_full_twists", counting)
+    for w in [torus_braid(7, 3), BraidWord(3, (1, -2)), BraidWord(1, ()), BraidWord(3, (2,) * 5)]:
+        calls.clear()
+        bundle(w)
+        assert calls == [w]
+    calls.clear()
+    ref = TorusReference(7, 3, 24)
+    assert (ref.components, ref.braid_index, ref.alexander) == (1, 3, alexander(torus_braid(7, 3)))
+    assert calls == [ref.word]
 
 
 def test_torus_reference_examples():

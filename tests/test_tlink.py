@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tlinks.braid import BraidWord
@@ -220,6 +222,19 @@ def test_parse_tlink_error_table(text, message, offset):
         parse_tlink(text)
     assert str(exc.value) == f"{message} (byte {offset})"
     assert exc.value.offset == offset
+
+
+def test_parse_tlink_rejects_integers_too_long_to_convert():
+    # int() refuses a run of more digits than sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    long = "1" * (limit + 1)
+    for text, offset in [(f"T((2,{long}))", 5), (f"T(({long},3))", 3)]:
+        with pytest.raises(TLinkParseError) as exc:
+            parse_tlink(text)
+        assert str(exc.value) == f"integer of {limit + 1} digits is too long (byte {offset})"
+    assert parse_tlink(f"T((2,{long[1:]}))").pairs == ((2, int(long[1:])),)
 
 
 @pytest.mark.parametrize("text", ["T((2,²))", "T((2,٣))", "T((2,３))"])
