@@ -32,6 +32,7 @@ from .laurent import InexactDivisionError, poly_text
 from .oracle import Certificate, SweepReport, certify, cross_validate
 from .tlink import (
     TLinkParseError,
+    TLinkSpec,
     absorb_strands,
     markov_reduce,
     parse_tlink,
@@ -50,12 +51,12 @@ EXIT_INTERNAL = 3
 # about a second for the simplest words; "n=1000000:" would ask for 10^12.
 MAX_STRANDS = 100
 
-# bundle's time grows faster than the square of the letters: on a 2-core
-# x86-64 host T((3,2000)) (4000 letters) takes 1.5 s and T((3,2500)) 2.9 s,
-# but random 9-strand words take 1.2 s (signed, 700 letters) and 3.4 s
-# (signed, 1000 letters), as alexander computes a signed word on two
-# half-words, and 80 s (positive, 1000 letters).  The limit stops
-# T((3,10^9)) before 2 x 10^9 letters are built.
+# A whole `tlinks invariants` run (Python 3.11, shared 2-core x86-64 host)
+# takes 0.13 s on T((3,2000)), 4000 letters that are mostly full twists, which
+# alexander takes as a factor.  On random 9-strand words it grows faster than
+# the square of the letters: 0.9 s signed and 21 s positive at 700 letters,
+# 3.6 s and 67 s at 1000 (a signed word is computed on two half-words).  The
+# limit stops T((3,10^9)) before 2 x 10^9 letters are built.
 MAX_LETTERS = 5000
 
 
@@ -68,7 +69,7 @@ def _input_word(text: str) -> BraidWord:
     stripped = text.strip()
     if stripped.startswith("T"):
         spec = parse_tlink(stripped)
-        _check_size(spec.strands, sum((r - 1) * s for r, s in spec.pairs))
+        _check_spec(spec)
         return standard_braid(spec)
     if stripped.startswith("n="):
         w = parse_braid_text(stripped)
@@ -77,6 +78,10 @@ def _input_word(text: str) -> BraidWord:
     raise _UsageError(
         f"cannot read {text!r}: expected T((r,s),...) or a braid word 'n=K: ...'"
     )
+
+
+def _check_spec(spec: TLinkSpec) -> None:
+    _check_size(spec.strands, sum((r - 1) * s for r, s in spec.pairs))
 
 
 def _check_size(strands: int, letters: int) -> None:
@@ -110,6 +115,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     # the gateway of classify_spec: Markov reduction, then the full-twist shape
     spec = markov_reduce(parse_tlink(args.input))
+    _check_spec(spec)
     form = to_full_twist_form(spec)
     if form is None:
         raise _UsageError(f"{spec} is not of full-twist form over a torus base")
@@ -133,8 +139,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     w = _input_word(args.input)
-    if not w.is_positive:
-        raise _UsageError("certification needs a positive braid word")
     print(certify(w, args.jones_guard))
     return EXIT_OK
 

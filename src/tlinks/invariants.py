@@ -1,8 +1,7 @@
 """Exact link invariants of braid closures.
 
-Five engines feed one bundle per word.  The bundle splits the literal full
-twists off the word once, w = Delta^(2j) rest (braid.split_full_twists), and
-every engine that has a use for the split reads (j, rest) from that one call:
+Five engines feed one class, Closure, the invariants of the closure of
+Delta^(2j) rest; closure splits a word once (braid.split_full_twists):
 
 * components, from the permutation of rest: Delta^2 is a pure braid, so
   A Delta^2 B permutes the strands as A B does;
@@ -14,13 +13,14 @@ every engine that has a use for the split reads (j, rest) from that one call:
   representation: det(rho(w) - I) equals, up to a unit +-t^k, the Alexander
   polynomial times (1 + t + ... + t^{n-1}); alexander takes rest and j;
 * the Jones polynomial through the Kauffman bracket, under a crossing guard
-  on the word as given: the word is first reduced by exact moves and split
-  into pieces (braid.closure_pieces), and each piece is summed with one
+  on the braid's letter count: the braid is first reduced by exact moves and
+  split into pieces (braid.closure_pieces), and each piece is summed with one
   integer packed at t^(1/2) = 2^K per planar-matching bucket.
 
-Torus references (torus_reference), the one cache, compute Alexander and
-Jones on their first read, so a candidate settled by the braid index never
-builds an Alexander or Jones polynomial.
+Alexander and Jones are computed on their first read, the other fields at
+once.  bundle reads all six into a frozen InvariantBundle; certificates and
+torus references read the lazy Closure, so a candidate settled by the
+component count or the braid index never builds an Alexander polynomial.
 
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
@@ -46,10 +46,10 @@ recovery of coefficients is exact, never heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
-from .braid import BraidWord, closure_pieces, split_full_twists, torus_braid
+from .braid import BraidWord, closure_pieces, split_full_twists
 from .garside import infimum
 from .laurent import (
     LaurentPoly,
@@ -202,7 +202,7 @@ def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
     Zero (the empty map) for split closures such as unlinks; otherwise the
     lowest exponent is 0 and the lowest coefficient positive.  The braid is
     Delta^(2j) rest with j = twists and rest = w; w is not scanned for more
-    full twists (bundle passes the split of braid.split_full_twists).
+    full twists (closure passes the split of braid.split_full_twists).
 
     One packed pipeline; no polynomial is built before the quotient.  The
     columns of a matrix with determinant +-t^e det(rho(Delta^(2j) rest) - I)
@@ -347,12 +347,12 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     return LaurentPoly({2 * e + offset: sign * d for e, d in unpack(packed, k, 0).terms()})
 
 
-def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
-    """Jones polynomial of the closure, in quarter powers of t.
+def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD, twists: int = 0) -> LaurentPoly | None:
+    """Jones polynomial of the closure of Delta^(2 twists) w, in quarter powers of t.
 
     Exponent k encodes t^(k/4); knots land on multiples of 4.  Absent (None)
-    when the word has more letters than the guard allows; the guard reads the
-    word as given, not its reduction.
+    when the braid as given, not its reduction, has more than guard letters:
+    len(w) + twists n(n-1), counted before any twist letter is written.
 
     The word is first reduced by braid.closure_pieces, and the state sum
     (_state_sum) runs on each piece that has letters.  V is an invariant of
@@ -367,8 +367,11 @@ def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> LaurentPoly | None:
     past the first.  A piece of one strand and no letters is an unknot,
     V = 1, so the empty word on n strands gets (-t^(1/2) - t^(-1/2))^(n-1).
     """
-    if len(w.letters) > guard:
+    n = w.strands
+    if len(w.letters) + twists * n * (n - 1) > guard:
         return None
+    if twists:
+        w = BraidWord(n, tuple(range(1, n)) * (n * twists) + w.letters)
     pieces = closure_pieces(w)
     value = LaurentPoly.one()
     for piece in pieces:
@@ -389,61 +392,40 @@ def euler_char(w: BraidWord) -> int:
     return w.strands - len(w.letters)
 
 
-def _braid_index(w: BraidWord, twists: int) -> int | None:
-    """Braid index of a positive word's closure by the full-twist criterion, else None.
+def _braid_index(rest: BraidWord, twists: int) -> int | None:
+    """Braid index of Delta^(2 twists) rest, rest positive, by the full-twist criterion, else None.
 
-    twists is the count of literal full twists braid.split_full_twists found
-    in w.  Franks and Williams (Trans. AMS 1987): a positive n-strand braid
+    Franks and Williams (Trans. AMS 1987): a positive n-strand braid
     containing Delta^2 closes to a link of braid index exactly n; without a
     full twist the criterion says nothing, so the result is None, not a bound.
     Literal twist first, then the infimum: Delta^2 is central, so a literal
-    block anywhere in w = A Delta^2 B gives w = Delta^2 A B, which settles
+    block anywhere in a word A Delta^2 B gives Delta^2 A B, which settles
     every sweep word and torus braid without a normal form.  Otherwise the
     Garside infimum decides (infimum >= 2), since Delta^2 can be hidden by
     braid relations, e.g. (sigma_2 sigma_1)^3 on 3 strands.  One strand
     closes to an unknot, of braid index 1.
     """
-    n = w.strands
-    if n == 1 or twists >= 1 or infimum(w) >= 2:
+    n = rest.strands
+    if n == 1 or twists >= 1 or infimum(rest) >= 2:
         return n
     return None
 
 
-def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
-    """Run every engine applicable to the word, on one split w = Delta^(2j) rest."""
-    twists, letters = split_full_twists(w)
-    rest = BraidWord(w.strands, letters)
-    positive = w.is_positive
-    return InvariantBundle(
-        components=rest.component_count(),
-        letters=len(w.letters),
-        euler_char=euler_char(w) if positive else None,
-        braid_index=_braid_index(w, twists) if positive else None,
-        alexander=alexander(rest, twists),
-        jones=jones(w, guard),
-    )
+class Closure:
+    """Invariants of the closure of Delta^(2 twists) rest, by the field names of InvariantBundle.
 
-
-class TorusReference:
-    """Invariant bundle of T(p, q) whose costly fields are computed when first read.
-
-    It has the field names of InvariantBundle.  The braid
-    (sigma_1...sigma_{q-1})^p is built once, kept as word and split once as
-    in bundle; alexander and jones run their engine on their first read, the
-    other fields at once.  A certificate reads the braid index first and
-    stops at the first mismatch, so most references never build an
-    Alexander or Jones polynomial.
+    alexander and jones run their engine on first read, the other fields at
+    once and with no twist letter written: Delta^2 is a positive pure braid.
     """
 
-    def __init__(self, p: int, q: int, guard: int):
-        self.word = w = torus_braid(p, q)
-        self.guard = guard
-        self.twists, letters = split_full_twists(w)
-        self.rest = BraidWord(q, letters)
-        self.components = self.rest.component_count()
-        self.letters = len(w.letters)
-        self.euler_char = euler_char(w)
-        self.braid_index = _braid_index(w, self.twists)
+    def __init__(self, rest: BraidWord, twists: int, guard: int):
+        n = rest.strands
+        self.rest, self.twists, self.guard = rest, twists, guard
+        self.components = rest.component_count()
+        self.letters = twists * n * (n - 1) + len(rest.letters)
+        positive = rest.is_positive
+        self.euler_char = n - self.letters if positive else None
+        self.braid_index = _braid_index(rest, twists) if positive else None
 
     @cached_property
     def alexander(self) -> LaurentPoly:
@@ -451,18 +433,31 @@ class TorusReference:
 
     @cached_property
     def jones(self) -> LaurentPoly | None:
-        return jones(self.word, self.guard)
+        return jones(self.rest, self.guard, self.twists)
+
+
+def closure(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Closure:
+    """The lazy closure of a word, on its one split w = Delta^(2j) rest."""
+    twists, letters = split_full_twists(w)
+    return Closure(BraidWord(w.strands, letters), twists, guard)
+
+
+def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
+    """Every invariant of the word's closure, computed now and frozen."""
+    c = closure(w, guard)
+    return InvariantBundle(**{f.name: getattr(c, f.name) for f in fields(InvariantBundle)})
 
 
 @lru_cache(maxsize=None)
-def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> TorusReference:
-    """Invariant bundle of the torus link T(p, q), computed by self-application.
+def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> Closure:
+    """Invariants of the torus link T(p, q), computed by self-application.
 
-    Runs the engines on the standard braid (sigma_1...sigma_{q-1})^p on q
-    strands (callers pass q <= p, so this is the cheaper presentation) rather
-    than trusting closed-form tables; the Alexander closed form survives only
-    as an independent cross-check in the test suite.  Alexander and Jones are
-    computed on their first read (TorusReference).
+    The engines run on the standard braid delta^p, delta = sigma_1...sigma_{q-1}
+    on q <= p strands (the cheaper presentation), not on closed-form tables,
+    which the test suite keeps as a cross-check.  As delta^q = Delta^2, the
+    braid is Delta^(2 floor(p/q)) delta^(p mod q), and it is never written
+    out (at q = 1 both are the empty word).  Alexander and Jones are computed
+    on their first read (Closure).
 
     This is the one cached engine.  Its keys are the (p, q, guard) candidates
     of a sweep grid, a small set (428 at p <= 9) that every row's
@@ -472,4 +467,5 @@ def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> TorusRe
     """
     if not 1 <= q <= p:
         raise ValueError("torus reference expects 1 <= q <= p")
-    return TorusReference(p, q, guard)
+    twists, r = divmod(p, q)
+    return Closure(BraidWord(q, tuple(range(1, q)) * r), twists, guard)

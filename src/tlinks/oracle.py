@@ -4,12 +4,12 @@ The classifier's verdicts are theorem-driven; this module is the ground
 truth they are validated against.  Given a positive braid word, the finitely
 many torus-link candidates (p, q) compatible with the closure's component
 count and Euler characteristic are enumerated, then eliminated one by one by
-comparing exact invariants against reference bundles of the genuine T(p, q),
+comparing exact invariants against references of the genuine T(p, q),
 in the order of one table (_ELIMINATIONS): braid index (when the full-twist
 criterion applies on both sides), the unit-normalized Alexander polynomial,
 and the Jones polynomial (when the crossing guard permits it).  The first
-mismatch eliminates a candidate, so the reference computes only the fields
-it is compared on.
+mismatch eliminates a candidate.  certify and the references are lazy
+(invariants.Closure), so Alexander is computed only where it is compared.
 
 A certificate never overclaims: TorusMatch means every comparison was
 available and agreed for exactly one candidate, an invariant-level match
@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .braid import BraidWord
 from .classify import NOT_TORUS_LINK, Verdict, classify_form
-from .invariants import DEFAULT_JONES_GUARD, InvariantBundle, bundle, torus_reference
+from .invariants import DEFAULT_JONES_GUARD, Closure, InvariantBundle, bundle, closure, torus_reference
 from .tlink import FullTwistForm, TLinkSpec, absorb_strands, flip_base, render_tlink, standard_braid
 
 NOT_TORUS = "NotTorus"
@@ -100,15 +100,16 @@ _ELIMINATIONS = (
 )
 
 
-def certify_bundle(b: InvariantBundle, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
-    """Certificate for a closure already summarized as an invariant bundle.
+def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
+    """Certificate for any closure with the field names of InvariantBundle.
 
-    Each candidate that passes the component count is compared field by field
-    in _ELIMINATIONS order.  A field the bundle lacks is skipped before the
-    reference is read, so the lazy reference never computes it; a field the
-    reference lacks is skipped too.  The first mismatch eliminates the
-    candidate; a candidate that survives every field is matched, completely
-    when no field was skipped.
+    b may be a lazy invariants.Closure.  A word that is not positive
+    (euler_char is None) is rejected first.  Each candidate that passes the
+    component count is compared field by field in _ELIMINATIONS order.  A
+    field the bundle lacks is skipped before the reference is read, so the
+    lazy reference never computes it; a field the reference lacks is skipped
+    too.  The first mismatch eliminates the candidate; a candidate that
+    survives every field is matched, completely when no field was skipped.
     """
     if b.euler_char is None:
         raise ValueError("certification needs a positive braid word")
@@ -140,10 +141,8 @@ def certify_bundle(b: InvariantBundle, guard: int = DEFAULT_JONES_GUARD) -> Cert
 
 
 def certify(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
-    """Certify whether the closure of a positive word is a torus link."""
-    if not w.is_positive:
-        raise ValueError("certification is defined for positive braid words")
-    return certify_bundle(bundle(w, guard), guard)
+    """Certify whether the closure of a positive word is a torus link, reading its lazy closure."""
+    return certify_bundle(closure(w, guard), guard)
 
 
 # -- classifier-versus-oracle sweep -------------------------------------------

@@ -55,6 +55,28 @@ def test_rewrite_reads_input_through_markov_reduction(capsys):
     assert out == run(capsys, "rewrite", "T((3,3),(5,2))")[1]
 
 
+def test_rewrite_rejects_oversized_input_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the trace was built")
+
+    monkeypatch.setattr(cli, "absorb_strands", no_work)
+    code, out, err = run(capsys, "rewrite", "T((3,3),(1000000,2))")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"1000000 strands is more than the limit of {MAX_STRANDS}" in err
+    code, out, err = run(capsys, "rewrite", f"T((3,3),(5,{MAX_LETTERS}))")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"letters is more than the limit of {MAX_LETTERS}" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "rewrite", "T((3,3),(5,2))")
+    assert code == EXIT_OK
+    assert out == (
+        "step 0: n=5: 1,2,1,2,1,2,1,2,3,4,1,2,3,4  [14 letters]\n"
+        "step 1: n=4: 2,1,2,1,2,1,2,1,2,3,1,2,3  [13 letters]\n"
+        "step 2: n=3: 2,2,1,2,1,2,1,2,1,2,1,2  [12 letters]\n"
+        "final word on 3 strands\n"
+    )
+
+
 def test_rewrite_requires_absorption_shape(capsys):
     code, _, err = run(capsys, "rewrite", "T((2,2),(5,3))")
     assert code == EXIT_USAGE

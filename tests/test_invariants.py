@@ -24,7 +24,6 @@ from tlinks import invariants
 from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
 from tlinks.garside import delta_word, infimum
 from tlinks.invariants import (
-    TorusReference,
     _alexander_columns,
     _braid_index,
     alexander,
@@ -34,6 +33,7 @@ from tlinks.invariants import (
     torus_reference,
 )
 from tlinks.laurent import LaurentPoly, unpack
+from tlinks.oracle import certify
 from tlinks.tlink import FullTwistForm, absorb_strands
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -344,6 +344,32 @@ def test_jones_guard_reads_the_unreduced_word():
     assert jones(w, guard=26) == bucket_jones(w)
 
 
+@settings(max_examples=80, deadline=None)
+@given(words(max_strands=4, max_letters=8), st.integers(0, 2), st.booleans(), st.integers(0, 40))
+def test_jones_takes_twists_as_alexander_does(w, twists, positive, guard):
+    # jones(rest, g, j) is V of Delta^(2j) rest, under the guard on all its letters
+    n = w.strands
+    if positive:
+        w = BraidWord(n, tuple(map(abs, w.letters)))
+    whole = BraidWord(n, full_twist(n) * twists + w.letters)
+    assert jones(w, guard, twists) == jones(whole, guard)
+
+
+def test_jones_guard_counts_twists_before_writing_them(monkeypatch):
+    rest = BraidWord(4, (1, -2))
+
+    def no_word(*args):
+        raise AssertionError("a word was built past the guard")
+
+    monkeypatch.setattr(invariants, "BraidWord", no_word)
+    monkeypatch.setattr(invariants, "closure_pieces", no_word)
+    assert jones(BraidWord(3, ()), 5, 1) is None  # 6 twist letters
+    assert jones(rest, 24, 10**9) is None
+    assert jones(rest, 25, 2) is None  # 24 twist letters and 2 more
+    monkeypatch.undo()
+    assert jones(rest, 26, 2) == jones(BraidWord(4, full_twist(4) * 2 + rest.letters), 26)
+
+
 def test_jones_matches_torus_closed_form():
     for p, q in [(3, 2), (101, 2), (50, 3), (25, 4), (21, 5), (17, 7)]:
         assert jones(torus_braid(p, q), guard=10**6) == torus_jones_closed_form(p, q)
@@ -456,10 +482,41 @@ def test_each_word_is_split_once(monkeypatch):
         calls.clear()
         bundle(w)
         assert calls == [w]
+    for w in [torus_braid(7, 3), BraidWord(3, (2,) * 5)]:
+        calls.clear()
+        certify(w)
+        assert calls == [w]
+    # a torus reference is built from divmod and never split
     calls.clear()
-    ref = TorusReference(7, 3, 24)
+    torus_reference.cache_clear()
+    ref = torus_reference(7, 3, 24)
     assert (ref.components, ref.braid_index, ref.alexander) == (1, 3, alexander(torus_braid(7, 3)))
-    assert calls == [ref.word]
+    assert ref.jones == jones(torus_braid(7, 3))
+    assert calls == []
+    torus_reference.cache_clear()
+
+
+BUNDLE_FIELDS = ("components", "letters", "euler_char", "braid_index", "alexander", "jones")
+
+
+def test_torus_braids_are_twists_times_a_power_of_delta():
+    # (sigma_1...sigma_{q-1})^p = Delta^(2 floor(p/q)) delta^(p mod q)
+    for p in range(2, 31):
+        for q in range(2, p + 1):
+            twists, r = divmod(p, q)
+            assert split_full_twists(torus_braid(p, q)) == (twists, tuple(range(1, q)) * r), (p, q)
+    # at q = 1 the split finds no twist and divmod counts p: both stand for
+    # the empty word on one strand
+    assert split_full_twists(torus_braid(5, 1)) == (0, ())
+    torus_reference.cache_clear()
+    one = torus_reference(5, 1)
+    assert (one.twists, one.rest) == (5, BraidWord(1, ()))
+    for p in range(1, 13):
+        for q in range(1, p + 1):
+            ref, b = torus_reference(p, q), bundle(torus_braid(p, q))
+            for field in BUNDLE_FIELDS:
+                assert getattr(ref, field) == getattr(b, field), (p, q, field)
+    torus_reference.cache_clear()
 
 
 def test_torus_reference_examples():

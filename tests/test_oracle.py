@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import tlinks.braid as braid
 import tlinks.invariants as invariants
 import tlinks.oracle as oracle
 from _oracles import enumerate_torus_candidates, torus_alexander_closed_form
@@ -92,21 +95,41 @@ def test_torus_references_compute_invariants_on_demand(monkeypatch):
     assert calls == ["alexander"]
 
 
-def test_torus_reference_builds_its_braid_once(monkeypatch):
-    built = []
-
-    def counted(p, q):
-        built.append((p, q))
-        return torus_braid(p, q)
+def test_torus_reference_builds_no_braid(monkeypatch):
+    def no_braid(p, q):
+        raise AssertionError(f"torus braid ({p}, {q}) was built")
 
     torus_reference.cache_clear()
-    monkeypatch.setattr(invariants, "torus_braid", counted)
+    # both the braid module's function and any binding invariants might import
+    monkeypatch.setattr(braid, "torus_braid", no_braid)
+    monkeypatch.setattr(invariants, "torus_braid", no_braid, raising=False)
     ref = torus_reference(7, 3)
+    monkeypatch.undo()
     b = bundle(torus_braid(7, 3))
     for field in ("components", "letters", "euler_char", "braid_index", "alexander", "jones"):
         assert getattr(ref, field) == getattr(b, field), field
-    assert built == [(7, 3)]
     torus_reference.cache_clear()
+
+
+def test_certify_computes_no_alexander_when_components_decide(monkeypatch):
+    # Delta^2 w for 700 random letters w on 9 strands closes to 3 components,
+    # and every chi candidate (p-1)(q-1) = 764 has gcd 1, so no candidate
+    # needs the word's Alexander polynomial
+    rng = random.Random(1)
+    w = BraidWord(9, tuple(range(1, 9)) * 9 + tuple(rng.randint(1, 8) for _ in range(700)))
+    assert len(w.letters) == 772
+
+    def no_alexander(*args):
+        raise AssertionError("an Alexander polynomial was computed")
+
+    monkeypatch.setattr(invariants, "alexander", no_alexander)
+    cert = certify(w)
+    assert cert.kind == NOT_TORUS
+    assert [(c.p, c.q, c.reason) for c in cert.candidates] == [
+        (765, 2, REASON_COMPONENTS),
+        (383, 3, REASON_COMPONENTS),
+        (192, 5, REASON_COMPONENTS),
+    ]
 
 
 def test_certify_standard_word_of_gcd_case():
@@ -257,17 +280,18 @@ def test_sweep_computes_each_reference_field_only_when_compared(monkeypatch):
     # a candidate reads the braid index, then Alexander, then Jones, and stops
     # at its first mismatch, so at p <= 7 most references never build the
     # costly polynomials
-    made = []
+    made = {}
 
-    class Recorded(invariants.TorusReference):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def recorded(*args):
+        made[args] = ref = torus_reference(*args)
+        return ref
 
     torus_reference.cache_clear()
-    monkeypatch.setattr(invariants, "TorusReference", Recorded)
+    monkeypatch.setattr(oracle, "torus_reference", recorded)
     cross_validate(7)
     torus_reference.cache_clear()
-    computed = {f: sum(f in vars(r) for r in made) for f in ("braid_index", "alexander", "jones")}
+    computed = {
+        f: sum(f in vars(r) for r in made.values()) for f in ("braid_index", "alexander", "jones")
+    }
     assert len(made) == 175
     assert computed == {"braid_index": 175, "alexander": 23, "jones": 3}
