@@ -52,11 +52,11 @@ EXIT_INTERNAL = 3
 MAX_STRANDS = 100
 
 # A whole `tlinks invariants` run (Python 3.11, shared 2-core x86-64 host)
-# takes 0.13 s on T((3,2000)), 4000 letters that are mostly full twists, which
+# takes 0.1 s on T((3,2000)), 4000 letters that are mostly full twists, which
 # alexander takes as a factor.  On random 9-strand words it grows faster than
-# the square of the letters: 0.9 s signed and 21 s positive at 700 letters,
-# 3.6 s and 67 s at 1000 (a signed word is computed on two half-words).  The
-# limit stops T((3,10^9)) before 2 x 10^9 letters are built.
+# the square of the letters: 0.9 s signed and 7.6 s positive at 700 letters,
+# 4.2 s and 29 s at 1000 (a twist-free word is reduced, then computed on two
+# half-words).  The limit stops T((3,10^9)) before 2 x 10^9 letters are built.
 MAX_LETTERS = 5000
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
@@ -110,6 +109,7 @@ def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUAR
     lazy reference never computes it; a field the reference lacks is skipped
     too.  The first mismatch eliminates the candidate; a candidate that
     survives every field is matched, completely when no field was skipped.
+    guard_hit reads jones_guarded, which a Closure answers from its letters.
     """
     if b.euler_char is None:
         raise ValueError("certification needs a positive braid word")
@@ -136,7 +136,7 @@ def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUAR
         kind = TORUS_MATCH
     else:
         kind = INCONCLUSIVE
-    guard_hit = b.jones is None or any("jones" in skipped for skipped in survivors)
+    guard_hit = b.jones_guarded or any("jones" in skipped for skipped in survivors)
     return Certificate(kind, tuple(results), guard_hit)
 
 
@@ -253,6 +253,8 @@ def cross_validate(
     tasks = [(i, form, guard) for i, form in enumerate(forms)]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_sweep_row, tasks, chunksize=8))
     else:

@@ -16,6 +16,7 @@ from _oracles import (
     leibniz_determinant,
     matsub,
     reduced_burau,
+    relation_closure,
     shifted,
     torus_alexander_closed_form,
     torus_jones_closed_form,
@@ -24,6 +25,7 @@ from tlinks import invariants
 from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
 from tlinks.garside import delta_word, infimum
 from tlinks.invariants import (
+    Closure,
     _alexander_columns,
     _braid_index,
     alexander,
@@ -198,8 +200,8 @@ def test_burau_width_bounds_every_coefficient():
     # every coefficient of the matrix alexander unpacks at t = 2^K1 must lie
     # in the balanced digit range |c| < 2^(K1-1), also when K1 comes from the
     # letters left after the full twists are split off: t^N (t^(nj) rho(w1) -
-    # rho(w2^-1)) for signed words, cut at half the letters, and rho(w) - I
-    # for positive ones
+    # rho(w2^-1)) for signed and twist-free words, cut at half the letters,
+    # and rho(w) - I for positive ones with a literal twist
     random.seed(20261018)
     cases = []
     for signs in ((1,), (1, -1)):
@@ -214,7 +216,7 @@ def test_burau_width_bounds_every_coefficient():
         n, m = w.strands, w.strands - 1
         j, rest = split_full_twists(w)
         cols, k, power = _alexander_columns(BraidWord(n, rest), j)
-        if w.is_positive:
+        if w.is_positive and j:
             assert power == 0
             matrix = matsub(burau_product(w), identity_matrix(m))
         else:
@@ -241,11 +243,28 @@ def test_alexander_matches_leibniz_oracle():
     cases += [BraidWord(n, (i, -i)) for n in range(2, 6) for i in range(1, n)]
     cases.append(BraidWord(1, ()))
     for w in cases:
-        m = w.strands - 1
-        det = leibniz_determinant(matsub(burau_product(w), identity_matrix(m)))
-        strand_sum = LaurentPoly({e: 1 for e in range(w.strands)})
-        expected = divide_exact(det, strand_sum).unit_normalized() if det else det
-        assert alexander(w) == expected
+        assert alexander(w) == leibniz_alexander(w)
+
+
+def leibniz_alexander(w):
+    """det(rho(w) - I) / [n]_t, unit-normalized, by the oracle product and Leibniz."""
+    det = leibniz_determinant(matsub(burau_product(w), identity_matrix(w.strands - 1)))
+    strand_sum = LaurentPoly({e: 1 for e in range(w.strands)})
+    return divide_exact(det, strand_sum).unit_normalized() if det else det
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(max_strands=6, max_letters=14), st.booleans(), st.integers(0, 5))
+def test_twist_free_alexander_matches_leibniz_oracle(w, positive, dropped):
+    # a twist-free closure reduces its word once (closure_pieces) and takes
+    # Alexander of the one piece, or 0 if it splits; the oracle reads the
+    # unreduced word.  Dropping a generator splits the closure.
+    n = w.strands
+    letters = tuple(abs(e) if positive else e for e in w.letters if abs(e) != dropped)
+    w = BraidWord(n, letters)
+    expected = leibniz_alexander(w)
+    assert Closure(w, 0, 0).alexander == expected
+    assert bundle(w, guard=0).alexander == expected
 
 
 def test_jones_examples():
@@ -454,6 +473,36 @@ def test_braid_index_agrees_with_infimum():
     assert bundle(BraidWord(3, (1, 2, 1, 2, 1, 2, -1))).braid_index is None
 
 
+def test_braid_index_crossing_precheck(monkeypatch):
+    # Delta^2 hidden by braid relations: every pair of strands still crosses
+    # at least twice, so the pre-check passes and the infimum decides
+    rng = random.Random(20261025)
+    hidden = []
+    for n in range(2, 8):
+        for _ in range(6):
+            tail = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 25)))
+            hidden.append(BraidWord(n, delta_word(n).letters * 2 + tail))
+    # every positive word of Delta^2 on 3 and 4 strands, and of Delta^2 sigma_1 sigma_2^2 sigma_1
+    for n, tail in ((3, ()), (4, ()), (3, (1, 2, 2, 1))):
+        words = relation_closure(delta_word(n).letters * 2 + tail, n)
+        hidden += [BraidWord(n, letters) for letters in words]
+    assert len(hidden) > 1700
+    for w in hidden:
+        assert _braid_index(w, 0) == w.strands, w
+
+    # a pair of strands that crosses fewer than twice settles the word
+    # without a normal form
+    def no_normal_form(w):
+        raise AssertionError("a normal form was computed")
+
+    monkeypatch.setattr(invariants, "infimum", no_normal_form)
+    short = [BraidWord(3, (1, 1, 2)), BraidWord(3, (2, 1, 2, 1, 2)), BraidWord(4, (1, 2, 3) * 3)]
+    short += [BraidWord(n, (delta_word(n).letters * 2)[1:]) for n in range(2, 7)]
+    short += [BraidWord(4, (1, 2) * 30 + (3,)), BraidWord(4, (1, 1, 3, 3) * 10)]
+    for w in short:
+        assert _braid_index(w, 0) is None, w
+
+
 @settings(max_examples=60, deadline=None)
 @given(words(max_strands=5, max_letters=10), st.integers(0, 3), st.randoms(use_true_random=False))
 def test_bundle_reads_the_split(w, twists, rng):
@@ -497,6 +546,39 @@ def test_each_word_is_split_once(monkeypatch):
 
 
 BUNDLE_FIELDS = ("components", "letters", "euler_char", "braid_index", "alexander", "jones")
+
+
+def test_twist_free_closures_are_reduced_once(monkeypatch):
+    # Alexander and Jones of a twist-free closure read one closure_pieces
+    # call; with a literal twist Alexander reads rest and j, unreduced
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return closure_pieces(w)
+
+    monkeypatch.setattr(invariants, "closure_pieces", counting)
+    rng = random.Random(20261019)
+    twist_free = [BraidWord(3, (1, -2, 1)), BraidWord(4, (1, 1, 3, 3, 3)), BraidWord(1, ())]
+    twist_free += [BraidWord(3, (1, -1) * 13), BraidWord(5, (1, 2, 3, 4, -3, 2))]
+    twist_free.append(BraidWord(6, tuple(rng.randint(1, 5) for _ in range(60))))
+    for w in twist_free:
+        for guard in (0, 24, 100):
+            calls.clear()
+            b = bundle(w, guard)
+            assert calls == [w], (w, guard)
+            assert (b.jones is None) == (len(w.letters) > guard)
+    twisted = words_with_full_twists(20261024, count=24) + [torus_braid(7, 3), torus_braid(9, 4)]
+    for w in twisted:
+        assert split_full_twists(w)[0] >= 1
+        calls.clear()
+        bundle(w, guard=0)
+        assert calls == [], w
+    torus_reference.cache_clear()
+    for p, q in [(7, 3), (9, 4), (5, 5), (6, 1)]:
+        torus_reference(p, q).alexander
+    assert calls == []
+    torus_reference.cache_clear()
 
 
 def test_torus_braids_are_twists_times_a_power_of_delta():

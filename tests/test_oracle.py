@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -111,12 +115,17 @@ def test_torus_reference_builds_no_braid(monkeypatch):
     torus_reference.cache_clear()
 
 
-def test_certify_computes_no_alexander_when_components_decide(monkeypatch):
-    # Delta^2 w for 700 random letters w on 9 strands closes to 3 components,
-    # and every chi candidate (p-1)(q-1) = 764 has gcd 1, so no candidate
-    # needs the word's Alexander polynomial
+def long_twisted_word():
+    """Delta^2 w for 700 random letters w on 9 strands, 772 letters in all."""
     rng = random.Random(1)
-    w = BraidWord(9, tuple(range(1, 9)) * 9 + tuple(rng.randint(1, 8) for _ in range(700)))
+    return BraidWord(9, tuple(range(1, 9)) * 9 + tuple(rng.randint(1, 8) for _ in range(700)))
+
+
+def test_certify_computes_no_alexander_when_components_decide(monkeypatch):
+    # Delta^2 w closes to 3 components, and every chi candidate
+    # (p-1)(q-1) = 764 has gcd 1, so no candidate needs the word's Alexander
+    # polynomial
+    w = long_twisted_word()
     assert len(w.letters) == 772
 
     def no_alexander(*args):
@@ -130,6 +139,40 @@ def test_certify_computes_no_alexander_when_components_decide(monkeypatch):
         (383, 3, REASON_COMPONENTS),
         (192, 5, REASON_COMPONENTS),
     ]
+
+
+def test_guard_hit_needs_no_state_sum(monkeypatch):
+    # a lazy closure reads guard_hit from its letter count against its guard,
+    # so a guard that admits the word computes no Jones polynomial that no
+    # candidate compares
+    w = long_twisted_word()
+
+    def no_state_sum(*args):
+        raise AssertionError("a state sum was computed")
+
+    monkeypatch.setattr(invariants, "_state_sum", no_state_sum)
+    for guard, hit in ((1000, False), (772, False), (771, True), (24, True)):
+        cert = certify(w, guard)
+        assert cert.kind == NOT_TORUS and cert.guard_hit is hit, guard
+    monkeypatch.undo()
+    # the lazy closure and the frozen bundle give the same certificate,
+    # guard_hit included
+    words = [presentation_word(f) for f in enumerate_forms(6, 2, 2)]
+    words += [torus_braid(6, 5), torus_braid(5, 3), BraidWord(3, (1, 1)), BraidWord(1, ())]
+    for word in words:
+        for guard in (0, 4, 24, 40):
+            assert certify(word, guard) == certify_bundle(bundle(word, guard), guard), (word, guard)
+
+
+def test_import_leaves_the_process_pool_out():
+    # cross_validate imports concurrent.futures only when it starts workers,
+    # so importing the package, or the command line, does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+    code = "import sys, tlinks, tlinks.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_certify_standard_word_of_gcd_case():
@@ -252,7 +295,8 @@ def test_cross_validate_caps_worker_count(monkeypatch):
         report = cross_validate(max_s=1, max_n=1, **kwargs)
         return [(r.text, r.verdict, r.certificate, r.invariants) for r in report.rows]
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    # cross_validate imports the pool class only when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     serial = rows(max_p=5)
     assert created == [] and len(serial) > 3
