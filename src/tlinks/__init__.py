@@ -26,6 +26,7 @@ from .invariants import (
     bundle,
     euler_char,
     jones,
+    syllable_closure,
     torus_reference,
 )
 from .laurent import LaurentPoly, poly_text
@@ -39,7 +40,6 @@ from .oracle import (
     certify,
     cross_validate,
     enumerate_forms,
-    presentation_word,
 )
 from .tlink import (
     FullTwistForm,
@@ -50,7 +50,7 @@ from .tlink import (
     flip_base,
     markov_reduce,
     parse_tlink,
-    remove_trailing_twists,
+    presentation,
     render_tlink,
     standard_braid,
     to_full_twist_form,

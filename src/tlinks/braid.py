@@ -9,6 +9,7 @@ composition convention is shared by every module that consumes braid words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -263,16 +264,46 @@ def closure_pieces(w: BraidWord) -> tuple[BraidWord, ...]:
     return tuple(BraidWord(s, tuple(ws)) for s, ws in zip(strands, pieces))
 
 
+def syllables(pairs) -> tuple[int, ...]:
+    """Letters of the syllables (sigma_1...sigma_{r-1})^s, one per pair (r, s), in order."""
+    return tuple(chain.from_iterable(tuple(range(1, r)) * s for r, s in pairs))
+
+
+class Presentation(NamedTuple):
+    """The braid prefix (sigma_1...sigma_{strands-1})^exponent on strands strands.
+
+    Every braid built from parameters ends in a syllable that spans all its
+    strands: the standard braid of a T-link, whose last pair is (r_k, s_k);
+    each strand-absorption step, (p - j, q), merged into the twist block at
+    the last step (tlink); and the torus braid delta^p, (q, p).  As
+    (sigma_1...sigma_{n-1})^n = Delta^2, the syllable splits by divmod into
+    floor(exponent / n) full twists and what is left
+    (invariants.syllable_closure), with no twist letter written.
+    """
+
+    prefix: tuple[int, ...]
+    strands: int
+    exponent: int
+
+    def word(self) -> BraidWord:
+        """The braid written out letter by letter."""
+        return BraidWord(self.strands, self.prefix + syllables([(self.strands, self.exponent)]))
+
+
 def torus_braid(p: int, q: int) -> BraidWord:
     """The standard braid (sigma_1...sigma_{q-1})^p of T(p,q) on q strands."""
     if q < 1 or p < 1:
         raise ValueError("torus parameters must be positive")
-    run = tuple(range(1, q))
-    return BraidWord(q, run * p)
+    return Presentation((), q, p).word()
 
 
 def split_full_twists(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """(j, rest): the literal full twists of w removed, j of them.
+    """(j, rest): the literal full twists of a raw word w removed, j of them.
+
+    Only words given letter by letter (`n=K:` input, bundle) are scanned.  A
+    braid built from parameters ends in a syllable on all its strands and is
+    split by divmod instead (invariants.syllable_closure); on those braids
+    both give the same (j, rest), which the tests check.
 
     The full twist Delta^2 = (sigma_1...sigma_{n-1})^n is central, so
     w = A Delta^2 B equals Delta^2 A B.  Scanning left to right, each literal
@@ -314,21 +345,36 @@ def braid_text(w: BraidWord) -> str:
     return f"n={w.strands}: " + ",".join(str(e) for e in w.letters)
 
 
+# what int() reads, less other decimal digits and underscores ("1_0")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def parse_braid_text(text: str) -> BraidWord:
-    """Parse the "n=K: e1,e2,..." format; an empty letter list is allowed."""
+    """Parse the "n=K: e1,e2,..." format; an empty letter list is allowed.
+
+    Numbers are ASCII integers.  int() alone would also read other decimal
+    digits and underscores ("n=1_0" as 10 strands), so the whole text is
+    checked for both at C speed first, and a good word is then converted by
+    one map(int, ...).  On a failure, the first token that _INTEGER does not
+    match is named with its index, not the whole list; the tokens are the
+    whole text but "n=", ":" and ",", so a text that fails has one, unless
+    int() failed on a number of more digits than it converts.  A text with
+    no "n=K:" head is quoted by its first 20 characters.
+    """
     head, sep, tail = text.partition(":")
-    head = head.strip()
-    if not sep or not head.startswith("n="):
-        raise ValueError(f"expected 'n=K: letters', got {text!r}")
+    if not sep or not head.strip().startswith("n="):
+        raise ValueError(f"expected 'n=K: letters' at the start of {text[:20]!r}")
+    tokens = [head.replace("n=", "", 1)] + tail.split(",")
     try:
-        n = int(head[2:])
+        if not text.isascii() or "_" in text:
+            raise ValueError("not ASCII, or an underscore")
+        n = int(tokens[0])
+        letters = tuple(map(int, tokens[1:])) if tail.strip() else ()
     except ValueError:
-        raise ValueError(f"bad strand count in {head!r}") from None
-    tail = tail.strip()
-    if not tail:
-        return BraidWord(n, ())
-    try:
-        letters = tuple(int(part.strip()) for part in tail.split(","))
-    except ValueError:
-        raise ValueError(f"bad letter list in {tail!r}") from None
+        i = next((i for i, token in enumerate(tokens) if not _INTEGER.fullmatch(token)), None)
+        if i is None:
+            raise  # int()'s own error on too many digits
+        bad = tokens[i].strip(" ")
+        name = f"letter {bad!r} at index {i - 1}" if i else f"strand count {bad!r}"
+        raise ValueError(f"bad {name}") from None
     return BraidWord(n, letters)

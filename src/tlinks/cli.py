@@ -25,18 +25,18 @@ import sys
 import time
 from typing import Any
 
-from .braid import BraidWord, braid_text, parse_braid_text
+from .braid import braid_text, parse_braid_text
 from .classify import classify_spec
-from .invariants import DEFAULT_JONES_GUARD, InvariantBundle, bundle
+from .invariants import DEFAULT_JONES_GUARD, Closure, InvariantBundle, closure, syllable_closure
 from .laurent import InexactDivisionError, poly_text
-from .oracle import Certificate, SweepReport, certify, cross_validate
+from .oracle import Certificate, SweepReport, certify_bundle, cross_validate
 from .tlink import (
     TLinkParseError,
     TLinkSpec,
     absorb_strands,
     markov_reduce,
     parse_tlink,
-    standard_braid,
+    standard_presentation,
     to_full_twist_form,
 )
 
@@ -52,11 +52,13 @@ EXIT_INTERNAL = 3
 MAX_STRANDS = 100
 
 # A whole `tlinks invariants` run (Python 3.11, shared 2-core x86-64 host)
-# takes 0.1 s on T((3,2000)), 4000 letters that are mostly full twists, which
-# alexander takes as a factor.  On random 9-strand words it grows faster than
-# the square of the letters: 0.9 s signed and 7.6 s positive at 700 letters,
-# 4.2 s and 29 s at 1000 (a twist-free word is reduced, then computed on two
-# half-words).  The limit stops T((3,10^9)) before 2 x 10^9 letters are built.
+# takes 0.15 s on T((3,2000)), 0.02 s of it after start-up: of its 4000
+# letters, 3996 are 666 full twists, which split off by divmod unwritten and
+# which alexander takes as a factor.  On random 9-strand words it grows faster
+# than the square of the letters: 0.9 s signed and 7.6 s positive at 700
+# letters, 4.2 s and 29 s at 1000 (a twist-free word is reduced, then computed
+# on two half-words).  The limit also stops T((3,10^9)), whose twists are
+# never written but whose Alexander polynomial has degree 2 x 10^9.
 MAX_LETTERS = 5000
 
 
@@ -64,17 +66,21 @@ class _UsageError(Exception):
     pass
 
 
-def _input_word(text: str) -> BraidWord:
-    """The word to compute on, rejected before any work if it has too many strands or letters."""
+def _input_closure(text: str, guard: int) -> Closure:
+    """The closure to compute on, rejected before any work if it has too many strands or letters.
+
+    A T-link's standard braid ends in a syllable on all its strands, whose
+    full twists split off by divmod; a raw word is scanned for them.
+    """
     stripped = text.strip()
     if stripped.startswith("T"):
         spec = parse_tlink(stripped)
         _check_spec(spec)
-        return standard_braid(spec)
+        return syllable_closure(standard_presentation(spec), guard)
     if stripped.startswith("n="):
         w = parse_braid_text(stripped)
         _check_size(w.strands, len(w.letters))
-        return w
+        return closure(w, guard)
     raise _UsageError(
         f"cannot read {text!r}: expected T((r,s),...) or a braid word 'n=K: ...'"
     )
@@ -107,8 +113,7 @@ def _print_bundle(b: InvariantBundle) -> None:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    w = _input_word(args.input)
-    _print_bundle(bundle(w, args.jones_guard))
+    _print_bundle(_input_closure(args.input, args.jones_guard).bundle())
     return EXIT_OK
 
 
@@ -138,8 +143,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    w = _input_word(args.input)
-    print(certify(w, args.jones_guard))
+    print(certify_bundle(_input_closure(args.input, args.jones_guard), args.jones_guard))
     return EXIT_OK
 
 

@@ -1,7 +1,10 @@
 """Exact link invariants of braid closures.
 
 Five engines feed one class, Closure, the invariants of the closure of
-Delta^(2j) rest; closure splits a word once (braid.split_full_twists):
+Delta^(2j) rest.  A braid built from parameters (a T-link, a sweep
+presentation, a torus braid) ends in a syllable (sigma_1...sigma_{n-1})^s on
+all n strands, and syllable_closure takes j = floor(s/n) from it by divmod;
+closure scans a raw word once for its literal twists (braid.split_full_twists):
 
 * components, from the permutation of rest: Delta^2 is a pure braid, so
   A Delta^2 B permutes the strands as A B does;
@@ -18,9 +21,10 @@ Delta^(2j) rest; closure splits a word once (braid.split_full_twists):
   integer packed at t^(1/2) = 2^K per planar-matching bucket.
 
 Alexander and Jones are computed on their first read, the other fields at
-once.  bundle reads all six into a frozen InvariantBundle; certificates and
-torus references read the lazy Closure, so a candidate settled by the
-component count or the braid index never builds an Alexander polynomial.
+once.  Closure.bundle freezes all six into an InvariantBundle, for bundle
+and sweep rows; certificates and torus references read the lazy Closure, so
+a candidate settled by the component count or the braid index never builds
+an Alexander polynomial.
 
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
@@ -51,7 +55,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import prod
 
-from .braid import BraidWord, closure_pieces, split_full_twists
+from .braid import BraidWord, Presentation, closure_pieces, split_full_twists
 from .garside import infimum
 from .laurent import (
     LaurentPoly,
@@ -463,17 +467,35 @@ class Closure:
         sums = [_state_sum(piece) for piece in self.pieces if piece.letters]
         return prod(sums + [_SPLIT_FACTOR] * (len(self.pieces) - 1), start=LaurentPoly.one())
 
+    def bundle(self) -> InvariantBundle:
+        """Every field computed now and frozen."""
+        return InvariantBundle(**{f.name: getattr(self, f.name) for f in fields(InvariantBundle)})
+
+
+def syllable_closure(p: Presentation, guard: int) -> Closure:
+    """The lazy closure of prefix (sigma_1...sigma_{n-1})^exponent on n strands, split by divmod.
+
+    (sigma_1...sigma_{n-1})^n = Delta^2, which is central, so the braid is
+    Delta^(2 floor(exponent/n)) prefix (sigma_1...sigma_{n-1})^(exponent mod n),
+    and the twists are never written out.  Every braid built from parameters
+    ends in such a syllable (braid.Presentation): T-links, sweep
+    presentations and torus references (at n = 1 the syllable is empty).
+    On those braids the split equals that of braid.split_full_twists on the
+    written-out word, which the tests check.
+    """
+    twists, r = divmod(p.exponent, p.strands)
+    return Closure(p._replace(exponent=r).word(), twists, guard)
+
 
 def closure(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Closure:
-    """The lazy closure of a word, on its one split w = Delta^(2j) rest."""
+    """The lazy closure of a raw word, on its one split w = Delta^(2j) rest."""
     twists, letters = split_full_twists(w)
     return Closure(BraidWord(w.strands, letters), twists, guard)
 
 
 def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
     """Every invariant of the word's closure, computed now and frozen."""
-    c = closure(w, guard)
-    return InvariantBundle(**{f.name: getattr(c, f.name) for f in fields(InvariantBundle)})
+    return closure(w, guard).bundle()
 
 
 @lru_cache(maxsize=None)
@@ -483,9 +505,9 @@ def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> Closure
     The engines run on the standard braid delta^p, delta = sigma_1...sigma_{q-1}
     on q <= p strands (the cheaper presentation), not on closed-form tables,
     which the test suite keeps as a cross-check.  As delta^q = Delta^2, the
-    braid is Delta^(2 floor(p/q)) delta^(p mod q), and it is never written
-    out (at q = 1 both are the empty word).  Alexander and Jones are computed
-    on their first read (Closure).
+    braid is Delta^(2 floor(p/q)) delta^(p mod q) (syllable_closure), and it
+    is never written out (at q = 1 both are the empty word).  Alexander and
+    Jones are computed on their first read (Closure).
 
     This is the one cached engine.  Its keys are the (p, q, guard) candidates
     of a sweep grid, a small set (428 at p <= 9) that every row's
@@ -495,5 +517,4 @@ def torus_reference(p: int, q: int, guard: int = DEFAULT_JONES_GUARD) -> Closure
     """
     if not 1 <= q <= p:
         raise ValueError("torus reference expects 1 <= q <= p")
-    twists, r = divmod(p, q)
-    return Closure(BraidWord(q, tuple(range(1, q)) * r), twists, guard)
+    return syllable_closure(Presentation((), q, p), guard)

@@ -10,6 +10,9 @@ criterion applies on both sides), the unit-normalized Alexander polynomial,
 and the Jones polynomial (when the crossing guard permits it).  The first
 mismatch eliminates a candidate.  certify and the references are lazy
 (invariants.Closure), so Alexander is computed only where it is compared.
+A sweep row certifies its form's presentation (tlink.presentation), whose
+full twists split off by divmod (invariants.syllable_closure), with no twist
+letter written or scanned.
 
 A certificate never overclaims: TorusMatch means every comparison was
 available and agreed for exactly one candidate, an invariant-level match
@@ -29,8 +32,15 @@ from typing import Iterator
 
 from .braid import BraidWord
 from .classify import NOT_TORUS_LINK, Verdict, classify_form
-from .invariants import DEFAULT_JONES_GUARD, Closure, InvariantBundle, bundle, closure, torus_reference
-from .tlink import FullTwistForm, TLinkSpec, absorb_strands, flip_base, render_tlink, standard_braid
+from .invariants import (
+    DEFAULT_JONES_GUARD,
+    Closure,
+    InvariantBundle,
+    closure,
+    syllable_closure,
+    torus_reference,
+)
+from .tlink import FullTwistForm, TLinkSpec, presentation, render_tlink
 
 NOT_TORUS = "NotTorus"
 TORUS_MATCH = "TorusMatch"
@@ -148,19 +158,6 @@ def certify(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
 # -- classifier-versus-oracle sweep -------------------------------------------
 
 
-def presentation_word(form: FullTwistForm) -> BraidWord:
-    """Best word for certification, following the theorem's own reductions.
-
-    The standard word on p strands rarely exhibits a full twist, so the
-    braid-index criterion would sit idle; after absorption (q < a_n) or the
-    base flip (a_n < q) the presentation carries one.  FullTwistForm rejects
-    a_n = q, so one of the two applies.
-    """
-    if form.q < form.a_max:
-        return absorb_strands(form).final
-    return standard_braid(flip_base(form))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     index: int
@@ -217,8 +214,7 @@ def _sweep_row(args: tuple[int, FullTwistForm, int]) -> SweepRow:
     start = time.perf_counter()
     spec = form.spec()
     verdict = classify_form(form)
-    word = presentation_word(form)
-    b = bundle(word, guard)
+    b = syllable_closure(presentation(form), guard).bundle()
     cert = certify_bundle(b, guard)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRow(

@@ -9,6 +9,10 @@ on r_k strands.  The constrained shape handled by the classifier keeps full
 twists on a_1 < ... < a_n strands in front of a torus base (p, q): pairs
 (a_i, s_i*a_i) followed by (p, q) with 1 < q < p, a_i != q and a_n < p.
 
+Every braid built here from parameters ends in a syllable
+(sigma_1...sigma_{n-1})^s on all its n strands (braid.Presentation), so its
+full twists split off by divmod and are never written out.
+
 Three procedures operate on these words:
 
 * strand absorption: for q < a_n, pull the strand that travels once around
@@ -26,7 +30,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .braid import BraidWord
+from .braid import BraidWord, Presentation, syllables
 
 
 class TLinkParseError(ValueError):
@@ -110,9 +114,7 @@ class FullTwistForm:
 
     def spec(self) -> TLinkSpec:
         """The same link as a generic T-link parameter list."""
-        pairs = [(a, s * a) for a, s in self.twist_pairs]
-        pairs.append(self.base)
-        return TLinkSpec(tuple(pairs))
+        return TLinkSpec(tuple((a, s * a) for a, s in self.twist_pairs) + (self.base,))
 
     def gcd_base(self) -> int:
         return gcd(self.p, self.q)
@@ -134,17 +136,25 @@ class RewriteTrace:
         return self.steps[-1]
 
 
-def _run(width: int) -> tuple[int, ...]:
-    """Ascending run sigma_1...sigma_{width-1}."""
-    return tuple(range(1, width))
+def _presentation(prefix: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> Presentation:
+    """prefix, then the syllables of pairs (r, s), as a Presentation.
+
+    A last pair on the strands of the pair before it merges into that syllable.
+    """
+    *head, (n, s) = pairs
+    if head and head[-1][0] == n:
+        s += head.pop()[1]
+    return Presentation(prefix + syllables(head), n, s)
+
+
+def standard_presentation(spec: TLinkSpec) -> Presentation:
+    """The defining positive braid of the T-link, on r_k strands, as a Presentation."""
+    return _presentation((), spec.pairs)
 
 
 def standard_braid(spec: TLinkSpec) -> BraidWord:
     """The defining positive braid of the T-link, on r_k strands."""
-    letters: list[int] = []
-    for r, s in spec.pairs:
-        letters.extend(_run(r) * s)
-    return BraidWord(spec.strands, tuple(letters))
+    return standard_presentation(spec).word()
 
 
 def to_full_twist_form(spec: TLinkSpec) -> FullTwistForm | None:
@@ -179,9 +189,17 @@ def flip_base(form: FullTwistForm) -> TLinkSpec:
         raise ValueError(
             f"flip requires a_n < q, got a_n = {form.a_max} > q = {form.q}"
         )
-    pairs = [(a, s * a) for a, s in form.twist_pairs]
-    pairs.append((form.q, form.p))
-    return TLinkSpec(tuple(pairs))
+    return TLinkSpec(form.spec().pairs[:-1] + ((form.q, form.p),))
+
+
+def _absorption_step(form: FullTwistForm, j: int) -> Presentation:
+    """Step j of absorb_strands: the spec's base (p, q) becomes (p - j, q) behind j blocks.
+
+    At the last step, p - j = a_n, the base syllable merges into the a_n block.
+    """
+    p, q = form.base
+    block = tuple(range(form.a_max - 1, form.a_max - q, -1))
+    return _presentation(block * j, (*form.spec().pairs[:-1], (p - j, q)))
 
 
 def absorb_strands(form: FullTwistForm) -> RewriteTrace:
@@ -200,19 +218,25 @@ def absorb_strands(form: FullTwistForm) -> RewriteTrace:
     whose exponent becomes s_n a_n + q > a_n, so the final word carries a
     full twist on a_n strands.
     """
-    p, q = form.base
-    a_n = form.a_max
-    if not q < a_n:
-        raise ValueError(f"absorption requires q < a_n, got q = {q}, a_n = {a_n}")
-    block = tuple(range(a_n - 1, a_n - q, -1))
-    middle: list[int] = []
-    for a, s in form.twist_pairs:
-        middle.extend(_run(a) * (s * a))
-    steps = []
-    for j in range(p - a_n + 1):
-        letters = block * j + tuple(middle) + _run(p - j) * q
-        steps.append(BraidWord(p - j, letters))
-    return RewriteTrace(form, tuple(steps))
+    if not form.q < form.a_max:
+        raise ValueError(f"absorption requires q < a_n, got q = {form.q}, a_n = {form.a_max}")
+    steps = range(form.p - form.a_max + 1)
+    return RewriteTrace(form, tuple(_absorption_step(form, j).word() for j in steps))
+
+
+def presentation(form: FullTwistForm) -> Presentation:
+    """The presentation a certificate reads, following the theorem's own reductions.
+
+    The standard word on p strands rarely exhibits a full twist, so the
+    braid-index criterion would sit idle.  The final absorption step
+    (q < a_n) ends in the syllable (a_n, s_n a_n + q) and the base flip
+    (a_n < q) in (q, p); either exponent exceeds the strand count, so the
+    closure carries a full twist.  FullTwistForm rejects a_n = q, so one of
+    the two applies.
+    """
+    if form.q < form.a_max:
+        return _absorption_step(form, form.p - form.a_max)
+    return standard_presentation(flip_base(form))
 
 
 def markov_reduce(spec: TLinkSpec) -> TLinkSpec:
@@ -232,25 +256,6 @@ def markov_reduce(spec: TLinkSpec) -> TLinkSpec:
         r, s = pairs[-1]
         pairs[-1] = (r, s + 1)
     return TLinkSpec(tuple(pairs))
-
-
-def remove_trailing_twists(w: BraidWord, syllable_strands: int, count: int) -> BraidWord:
-    """Delete a literal trailing syllable (sigma_1...sigma_{m-1})^count.
-
-    Equivalent to appending the inverse syllable and freely reducing; the
-    suffix must be present letter for letter.
-    """
-    if syllable_strands < 2 or count < 0:
-        raise ValueError("need syllable_strands >= 2 and count >= 0")
-    suffix = _run(syllable_strands) * count
-    k = len(suffix)
-    if k == 0:
-        return w
-    if w.letters[-k:] != suffix:
-        raise ValueError(
-            f"word does not end with (sigma_1..sigma_{syllable_strands - 1})^{count}"
-        )
-    return BraidWord(w.strands, w.letters[:-k])
 
 
 # -- the T((r,s),...) expression grammar -------------------------------------

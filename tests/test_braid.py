@@ -220,6 +220,32 @@ def test_text_round_trip():
         parse_braid_text("3: 1,2")
     with pytest.raises(ValueError):
         parse_braid_text("n=3: 1,x")
+    with pytest.raises(ValueError):  # more digits than int() converts
+        parse_braid_text("n=2: 1," + "1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # int() reads other decimal digits and underscores; the format does not
+        ("n=\u0663: 1", "bad strand count '\u0663'"),
+        ("n=3: \u0661,2", "bad letter '\u0661' at index 0"),
+        ("n=1_0: 1_0", "bad strand count '1_0'"),
+        ("n=3: 1,1_0", "bad letter '1_0' at index 1"),
+        ("n=3: 1,\u00a02", "bad letter '\\xa02' at index 1"),
+        ("\u00a0n=3: 1", "bad strand count '\\xa03'"),
+        ("n=x: 1", "bad strand count 'x'"),
+        ("n=3: 1, 2,\t-1, x", "bad letter 'x' at index 3"),
+        ("n=3: 1,,2", "bad letter '' at index 1"),
+        # the first bad letter of a long list is named, not the list
+        ("n=3: " + "1," * 3000 + "z,1", "bad letter 'z' at index 3000"),
+        ("n=3 " + "1," * 3000, "expected 'n=K: letters' at the start of 'n=3 1,1,1,1,1,1,1,1,'"),
+    ],
+)
+def test_parse_braid_text_names_the_first_bad_token(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_braid_text(text)
+    assert str(info.value) == message
 
 
 @settings(max_examples=100)

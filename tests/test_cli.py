@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tlinks import cli, invariants
+from tlinks.braid import braid_text
 from tlinks.cli import (
     _CSV_FIELDS,
     EXIT_CONTRADICTION,
@@ -14,7 +15,9 @@ from tlinks.cli import (
     MAX_STRANDS,
     main,
 )
+from tlinks.invariants import DEFAULT_JONES_GUARD
 from tlinks.laurent import InexactDivisionError
+from tlinks.tlink import parse_tlink, standard_braid
 
 
 def run(capsys, *argv):
@@ -113,10 +116,10 @@ def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
 
 def test_oversized_strand_count_rejected_before_work(capsys, monkeypatch):
     def no_work(*args):
-        raise AssertionError("bundle ran on an oversized word")
+        raise AssertionError("a closure was built on an oversized word")
 
-    monkeypatch.setattr(cli, "bundle", no_work)
-    monkeypatch.setattr(cli, "certify", no_work)
+    monkeypatch.setattr(cli, "closure", no_work)
+    monkeypatch.setattr(cli, "syllable_closure", no_work)
     for argv in [
         ("invariants", "n=1000000:"),
         ("invariants", f"n={MAX_STRANDS + 1}: 1,2"),
@@ -139,9 +142,9 @@ def test_oversized_letter_count_rejected_before_work(capsys, monkeypatch):
 
     over = "n=2: " + ",".join(["1"] * (MAX_LETTERS + 1))
     at_limit = "n=2: " + ",".join(["1"] * MAX_LETTERS)
-    monkeypatch.setattr(cli, "bundle", no_work)
-    monkeypatch.setattr(cli, "certify", no_work)
-    monkeypatch.setattr(cli, "standard_braid", no_work)
+    monkeypatch.setattr(cli, "closure", no_work)
+    monkeypatch.setattr(cli, "syllable_closure", no_work)
+    monkeypatch.setattr(cli, "standard_presentation", no_work)
     for argv in [
         ("invariants", "T((3,1000000000))"),
         ("certify", "T((3,1000000000))"),
@@ -154,8 +157,19 @@ def test_oversized_letter_count_rejected_before_work(capsys, monkeypatch):
         assert f"letters is more than the limit of {MAX_LETTERS}" in err
     assert "2000000000 letters" in run(capsys, "invariants", "T((3,1000000000))")[2]
     monkeypatch.undo()
-    assert len(cli._input_word(at_limit).letters) == MAX_LETTERS
-    assert len(cli._input_word(f"T((2,{MAX_LETTERS}))").letters) == MAX_LETTERS
+    assert cli._input_closure(at_limit, DEFAULT_JONES_GUARD).letters == MAX_LETTERS
+    assert cli._input_closure(f"T((2,{MAX_LETTERS}))", DEFAULT_JONES_GUARD).letters == MAX_LETTERS
+
+
+@pytest.mark.parametrize("text", ["T((2,5))", "T((3,4))", "T((3,3),(5,2))", "T((3,2000))"])
+def test_tlink_input_prints_as_its_written_out_word(capsys, text):
+    # a T-link's twists split off by divmod, the written-out standard braid's
+    # by a scan of its letters; both print the same
+    written = braid_text(standard_braid(parse_tlink(text)))
+    for command in ("invariants", "certify"):
+        code, out, err = run(capsys, command, text)
+        assert (code, err) == (EXIT_OK, "")
+        assert run(capsys, command, written) == (EXIT_OK, out, ""), command
 
 
 def test_certify_rejects_negative(capsys):
@@ -168,6 +182,13 @@ def test_bad_input_rejected(capsys):
     code, _, err = run(capsys, "invariants", "garbage")
     assert code == EXIT_USAGE
     assert "expected" in err
+    # int() alone would read these as 3 strands, letter 1 and 10 strands
+    for text, message in [
+        ("n=\u0663: 1", "bad strand count '\u0663'"),
+        ("n=3: \u0661,2", "bad letter '\u0661' at index 0"),
+        ("n=1_0: 1_0", "bad strand count '1_0'"),
+    ]:
+        assert run(capsys, "invariants", text) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_sweep_writes_deterministic_reports(tmp_path, capsys):

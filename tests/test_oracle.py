@@ -25,9 +25,8 @@ from tlinks.oracle import (
     certify_bundle,
     cross_validate,
     enumerate_forms,
-    presentation_word,
 )
-from tlinks.tlink import FullTwistForm, absorb_strands, standard_braid
+from tlinks.tlink import FullTwistForm, absorb_strands, presentation, standard_braid
 
 
 def test_candidate_examples():
@@ -157,7 +156,7 @@ def test_guard_hit_needs_no_state_sum(monkeypatch):
     monkeypatch.undo()
     # the lazy closure and the frozen bundle give the same certificate,
     # guard_hit included
-    words = [presentation_word(f) for f in enumerate_forms(6, 2, 2)]
+    words = [presentation(f).word() for f in enumerate_forms(6, 2, 2)]
     words += [torus_braid(6, 5), torus_braid(5, 3), BraidWord(3, (1, 1)), BraidWord(1, ())]
     for word in words:
         for guard in (0, 4, 24, 40):
@@ -210,7 +209,7 @@ def test_alexander_mismatch_reasons_are_sound():
     report = cross_validate(max_p=6, max_n=1, max_s=2, guard=24)
     checked = 0
     for row in report.rows:
-        word = presentation_word(row.form)
+        word = presentation(row.form).word()
         for cand in row.certificate.candidates:
             if cand.reason != REASON_ALEXANDER:
                 continue
@@ -223,10 +222,10 @@ def test_alexander_mismatch_reasons_are_sound():
 
 
 def test_presentation_word_choice():
-    absorbed = presentation_word(FullTwistForm(((3, 1),), (5, 2)))
-    assert absorbed.strands == 3
-    flipped = presentation_word(FullTwistForm(((2, 1),), (5, 3)))
-    assert flipped.strands == 3
+    absorbed = presentation(FullTwistForm(((3, 1),), (5, 2)))
+    assert absorbed.strands == absorbed.word().strands == 3
+    flipped = presentation(FullTwistForm(((2, 1),), (5, 3)))
+    assert flipped.strands == flipped.word().strands == 3
 
 
 def test_enumerate_forms_bounds_and_order():

@@ -1,9 +1,12 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlinks.braid import BraidWord
-from tlinks.invariants import alexander, euler_char
+from tlinks.braid import BraidWord, split_full_twists
+from tlinks.invariants import alexander, euler_char, syllable_closure
+from tlinks.oracle import enumerate_forms
 from tlinks.tlink import (
     FullTwistForm,
     TLinkParseError,
@@ -12,9 +15,10 @@ from tlinks.tlink import (
     flip_base,
     markov_reduce,
     parse_tlink,
-    remove_trailing_twists,
+    presentation,
     render_tlink,
     standard_braid,
+    standard_presentation,
     to_full_twist_form,
 )
 
@@ -113,6 +117,61 @@ def test_markov_reduce_is_iterated_destabilization():
         assert word == target, spec
 
 
+def _split(p):
+    """(twists, rest letters) of a presentation's closure, split by divmod."""
+    c = syllable_closure(p, 0)
+    return c.twists, c.rest.letters
+
+
+def _written(form):
+    """The presentation of form, written out by absorb_strands or by flip_base and standard_braid."""
+    if form.q < form.a_max:
+        return absorb_strands(form).final
+    return standard_braid(flip_base(form))
+
+
+def test_presentation_splits_as_its_written_word():
+    # the divmod split of the final syllable finds exactly the literal full
+    # twists that a scan of the written-out word finds
+    for form in enumerate_forms(13, 3, 3):
+        assert _split(presentation(form)) == split_full_twists(_written(form)), form
+    for form in enumerate_forms(9, 2, 2):
+        p = presentation(form)
+        assert p.word() == _written(form), form
+        assert p.exponent > p.strands  # so the closure carries a full twist
+
+
+@st.composite
+def tlink_specs(draw):
+    rs = sorted(draw(st.sets(st.integers(min_value=2, max_value=9), min_size=1, max_size=4)))
+    return TLinkSpec(tuple((r, draw(st.integers(min_value=1, max_value=40))) for r in rs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tlink_specs())
+def test_tlink_divmod_split_equals_scan(spec):
+    letters = tuple(x for r, s in spec.pairs for _ in range(s) for x in range(1, r))
+    assert standard_braid(spec) == standard_presentation(spec).word() == BraidWord(spec.strands, letters)
+    assert _split(standard_presentation(spec)) == split_full_twists(standard_braid(spec))
+
+
+def test_flip_forms_come_in_families():
+    # a flip form's rest depends only on (twist pairs, q, p mod q), and it
+    # carries floor(p/q) full twists: the family (twist pairs, q, r) has the
+    # members p = bq + r with words Delta^(2b) R
+    rests: dict = {}
+    flips = 0
+    for form in enumerate_forms(21, 2, 2):
+        if form.q < form.a_max:
+            continue
+        flips += 1
+        twists, rest = _split(presentation(form))
+        assert twists == form.p // form.q, form
+        key = (form.twist_pairs, form.q, form.p % form.q)
+        assert rests.setdefault(key, rest) == rest, form
+    assert (flips, len(rests)) == (21660, 19908)
+
+
 def test_small_traces_and_flips_preserve_jones():
     from tlinks.invariants import jones
     from tlinks.oracle import enumerate_forms
@@ -148,15 +207,6 @@ def test_markov_reduce_preserves_closure_invariants():
         w_in, w_out = standard_braid(spec), standard_braid(reduced)
         assert alexander(w_in) == alexander(w_out), spec
         assert w_in.component_count() == w_out.component_count()
-
-
-def test_remove_trailing_twists():
-    w = BraidWord(3, (2, 2) + (1, 2) * 5)
-    out = remove_trailing_twists(w, 3, 3)
-    assert out.letters == (2, 2) + (1, 2) * 2
-    assert remove_trailing_twists(BraidWord(2, (1, 1, 1, 1)), 2, 4).letters == ()
-    with pytest.raises(ValueError):
-        remove_trailing_twists(BraidWord(3, (1, 2, 1)), 3, 1)
 
 
 def test_parse_tlink():
