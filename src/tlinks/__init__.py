@@ -43,7 +43,6 @@ from .oracle import (
 )
 from .tlink import (
     FullTwistForm,
-    RewriteTrace,
     TLinkParseError,
     TLinkSpec,
     absorb_strands,
@@ -51,6 +50,7 @@ from .tlink import (
     markov_reduce,
     parse_tlink,
     presentation,
+    reduce_tlink,
     render_tlink,
     standard_braid,
     to_full_twist_form,

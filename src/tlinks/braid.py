@@ -12,7 +12,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 from typing import NamedTuple
+
+
+def integer(value, what: str) -> int:
+    """value as an int, read by operator.index.
+
+    int() would truncate 2.9 to 2 and read "3" as 3; operator.index takes
+    only integers (and bool), so anything else raises a TypeError naming it.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -80,16 +93,20 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "strands", integer(self.strands, "strand count"))
         if self.strands < 1:
             raise ValueError("strand count must be at least 1")
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
-        # max, min and `in` run at C speed; the letters are walked only to
-        # name the first bad one
+        # max, min, `in` and sum run at C speed, and a sum of ints is an int
+        # (2.0 makes it a float); the letters are walked only to name the
+        # first bad one
         top = self.strands - 1
-        if letters and (max(letters) > top or min(letters) < -top or 0 in letters):
+        if letters and (
+            max(letters) > top or min(letters) < -top or 0 in letters or type(sum(letters)) is not int
+        ):
             for pos, e in enumerate(letters):
-                if e == 0 or abs(e) > top:
+                if integer(e, f"letter at index {pos}") == 0 or abs(e) > top:
                     raise ValueError(
                         f"letter {e} at index {pos} out of range for {self.strands} strands"
                     )

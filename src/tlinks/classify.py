@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tlink import FullTwistForm, TLinkSpec, markov_reduce, to_full_twist_form
+from .tlink import FullTwistForm, TLinkSpec, reduce_tlink
 
 NOT_TORUS_LINK = "NotTorusLink"
 EXCEPTIONAL_FAMILY = "ExceptionalFamily"
@@ -92,22 +92,20 @@ def classify_form(form: FullTwistForm) -> Verdict:
 def classify_pairs(
     twist_pairs: tuple[tuple[int, int], ...], base: tuple[int, int]
 ) -> Verdict:
-    """Classify raw parameters, reporting constraint violations as a verdict."""
+    """Classify raw parameters, reporting constraint violations and non-integers as a verdict."""
     try:
         form = FullTwistForm(twist_pairs, base)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         return Verdict(INVALID_INPUT, None, str(exc))
     return classify_form(form)
 
 
 def classify_spec(spec: TLinkSpec) -> Verdict:
-    """Gateway for generic T-link specs.
+    """Classify a generic T-link spec through the gateway tlink.reduce_tlink.
 
-    Applies the Markov reduction chain, recognizes the full-twist shape, and
-    classifies; specs outside that shape yield InvalidInput, not an error.
+    Specs outside the full-twist shape yield InvalidInput, not an error.
     """
-    reduced = markov_reduce(spec)
-    form = to_full_twist_form(reduced)
+    reduced, form = reduce_tlink(spec)
     if form is None:
         return Verdict(
             INVALID_INPUT,

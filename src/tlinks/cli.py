@@ -10,10 +10,17 @@ sweep       cross-validate classifier against oracle over a parameter range,
             optionally writing JSON and CSV reports
 
 Inputs are either T-link expressions `T((r1,s1),(r2,s2),...)` or braid words
-`n=K: e1,e2,...`.  Exit status 1 flags usage or parse errors; status 2 is
-reserved for a classifier/oracle contradiction, which would falsify the
-theorem the classifier implements; status 3 flags an internal fault, such as
-an exact polynomial division leaving a remainder.
+`n=K: e1,e2,...`.  Every T-link input goes through one gateway,
+tlink.reduce_tlink: Markov reduction, then the full-twist shape.  Its strand
+and letter limits are counted on the reduced spec.  invariants and certify
+compute a full-twist form on presentation(form), the closure its sweep row
+certifies, so they print that row's invariants and certificate; any other
+T-link is computed on the standard braid of its reduced spec.
+
+Exit status 1 flags usage or parse errors; status 2 is reserved for a
+classifier/oracle contradiction, which would falsify the theorem the
+classifier implements; status 3 flags an internal fault, such as an exact
+polynomial division leaving a remainder.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -34,10 +42,10 @@ from .tlink import (
     TLinkParseError,
     TLinkSpec,
     absorb_strands,
-    markov_reduce,
     parse_tlink,
+    presentation,
+    reduce_tlink,
     standard_presentation,
-    to_full_twist_form,
 )
 
 EXIT_OK = 0
@@ -69,14 +77,18 @@ class _UsageError(Exception):
 def _input_closure(text: str, guard: int) -> Closure:
     """The closure to compute on, rejected before any work if it has too many strands or letters.
 
-    A T-link's standard braid ends in a syllable on all its strands, whose
-    full twists split off by divmod; a raw word is scanned for them.
+    A T-link goes through reduce_tlink and is checked after its Markov
+    reduction.  A full-twist form is computed on presentation(form), as its
+    sweep row is, any other spec on its standard braid; both end in a
+    syllable on all their strands, whose full twists split off by divmod.
+    Neither has more strands or letters than the reduced spec.  A raw word
+    is scanned for its full twists.
     """
     stripped = text.strip()
     if stripped.startswith("T"):
-        spec = parse_tlink(stripped)
+        spec, form = reduce_tlink(parse_tlink(stripped))
         _check_spec(spec)
-        return syllable_closure(standard_presentation(spec), guard)
+        return syllable_closure(presentation(form) if form else standard_presentation(spec), guard)
     if stripped.startswith("n="):
         w = parse_braid_text(stripped)
         _check_size(w.strands, len(w.letters))
@@ -118,21 +130,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    # the gateway of classify_spec: Markov reduction, then the full-twist shape
-    spec = markov_reduce(parse_tlink(args.input))
+    spec, form = reduce_tlink(parse_tlink(args.input))
     _check_spec(spec)
-    form = to_full_twist_form(spec)
     if form is None:
         raise _UsageError(f"{spec} is not of full-twist form over a torus base")
-    if not form.q < form.a_max:
-        raise _UsageError(
-            f"rewrite applies when q < a_n; got q = {form.q}, a_n = {form.a_max}"
-            " (use the flipped presentation instead)"
-        )
-    trace = absorb_strands(form)
-    for j, step in enumerate(trace.steps):
+    steps = absorb_strands(form)
+    for j, step in enumerate(steps):
         print(f"step {j}: {braid_text(step)}  [{len(step.letters)} letters]")
-    print(f"final word on {trace.final.strands} strands")
+    print(f"final word on {steps[-1].strands} strands")
     return EXIT_OK
 
 
@@ -239,6 +244,10 @@ def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> N
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # a report path that cannot be written fails now, not after the sweep
+    for path in filter(None, (args.out, args.csv)):
+        if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+            raise _UsageError(f"cannot write a report to {path}")
     start = time.perf_counter()
     report = cross_validate(
         max_p=args.max_p,

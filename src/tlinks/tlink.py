@@ -16,8 +16,8 @@ full twists split off by divmod and are never written out.
 Three procedures operate on these words:
 
 * strand absorption: for q < a_n, pull the strand that travels once around
-  the closure into the twisted block, one strand at a time, producing a
-  verified trace from the p-strand standard word down to an a_n-strand word;
+  the closure into the twisted block, one strand at a time, producing the
+  step words from the p-strand standard word down to an a_n-strand word;
 * the base flip: for a_n < q, exchange the torus base (p, q) for (q, p),
   giving an equivalent T-link presented on q strands;
 * Markov reduction: trailing exponent-1 syllables collapse into the previous
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .braid import BraidWord, Presentation, syllables
+from .braid import BraidWord, Presentation, integer, syllables
 
 
 class TLinkParseError(ValueError):
@@ -48,7 +48,8 @@ class TLinkSpec:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(r), int(s)) for r, s in self.pairs))
+        pairs = tuple((integer(r, "r"), integer(s, "s")) for r, s in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
         if not self.pairs:
             raise ValueError("a T-link needs at least one pair")
         if self.pairs[0][0] < 2:
@@ -75,10 +76,9 @@ class FullTwistForm:
     base: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "twist_pairs", tuple((int(a), int(s)) for a, s in self.twist_pairs)
-        )
-        object.__setattr__(self, "base", (int(self.base[0]), int(self.base[1])))
+        pairs = tuple((integer(a, "a"), integer(s, "s")) for a, s in self.twist_pairs)
+        object.__setattr__(self, "twist_pairs", pairs)
+        object.__setattr__(self, "base", (integer(self.base[0], "p"), integer(self.base[1], "q")))
         p, q = self.base
         if not self.twist_pairs:
             raise ValueError("at least one twist pair is required")
@@ -120,36 +120,10 @@ class FullTwistForm:
         return gcd(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    """Strand-absorption trace; step j lives on p - j strands."""
-
-    form: FullTwistForm
-    steps: tuple[BraidWord, ...]
-
-    @property
-    def first(self) -> BraidWord:
-        return self.steps[0]
-
-    @property
-    def final(self) -> BraidWord:
-        return self.steps[-1]
-
-
-def _presentation(prefix: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> Presentation:
-    """prefix, then the syllables of pairs (r, s), as a Presentation.
-
-    A last pair on the strands of the pair before it merges into that syllable.
-    """
-    *head, (n, s) = pairs
-    if head and head[-1][0] == n:
-        s += head.pop()[1]
-    return Presentation(prefix + syllables(head), n, s)
-
-
 def standard_presentation(spec: TLinkSpec) -> Presentation:
     """The defining positive braid of the T-link, on r_k strands, as a Presentation."""
-    return _presentation((), spec.pairs)
+    *head, (n, s) = spec.pairs
+    return Presentation(syllables(head), n, s)
 
 
 def standard_braid(spec: TLinkSpec) -> BraidWord:
@@ -162,8 +136,9 @@ def to_full_twist_form(spec: TLinkSpec) -> FullTwistForm | None:
 
     Every non-final pair must be a whole number of full twists (r | s) and
     the resulting parameters must satisfy the constraint block, including the
-    standing assumption a_i != q.  This is the single gateway between generic
-    specs and classifier inputs.
+    standing assumption a_i != q.  Generic specs reach the classifier, the
+    rewrite and the invariants through reduce_tlink, the single gateway,
+    which calls this after Markov reduction.
     """
     if len(spec.pairs) < 2:
         return None
@@ -192,18 +167,23 @@ def flip_base(form: FullTwistForm) -> TLinkSpec:
     return TLinkSpec(form.spec().pairs[:-1] + ((form.q, form.p),))
 
 
-def _absorption_step(form: FullTwistForm, j: int) -> Presentation:
-    """Step j of absorb_strands: the spec's base (p, q) becomes (p - j, q) behind j blocks.
+def _absorption_steps(form: FullTwistForm, first: int) -> list[Presentation]:
+    """Steps first..p - a_n of absorb_strands, the twist syllables written once.
 
-    At the last step, p - j = a_n, the base syllable merges into the a_n block.
+    Step j puts the base (p - j, q) behind j blocks; at the last step,
+    p - j = a_n, the base syllable merges into the a_n block.
     """
     p, q = form.base
     block = tuple(range(form.a_max - 1, form.a_max - q, -1))
-    return _presentation(block * j, (*form.spec().pairs[:-1], (p - j, q)))
+    *head, (a, s) = ((r, t * r) for r, t in form.twist_pairs)
+    twists = syllables(head)
+    written = twists + syllables([(a, s)])
+    steps = [Presentation(block * j + written, p - j, q) for j in range(first, p - a)]
+    return steps + [Presentation(block * (p - a) + twists, a, s + q)]
 
 
-def absorb_strands(form: FullTwistForm) -> RewriteTrace:
-    """Strand-absorption trace for q < a_n < p.
+def absorb_strands(form: FullTwistForm) -> tuple[BraidWord, ...]:
+    """The words of the strand absorption for q < a_n < p, step j on p - j strands.
 
     Step j (0 <= j <= p - a_n) is the word on p - j strands
 
@@ -220,8 +200,7 @@ def absorb_strands(form: FullTwistForm) -> RewriteTrace:
     """
     if not form.q < form.a_max:
         raise ValueError(f"absorption requires q < a_n, got q = {form.q}, a_n = {form.a_max}")
-    steps = range(form.p - form.a_max + 1)
-    return RewriteTrace(form, tuple(_absorption_step(form, j).word() for j in steps))
+    return tuple(step.word() for step in _absorption_steps(form, 0))
 
 
 def presentation(form: FullTwistForm) -> Presentation:
@@ -235,7 +214,7 @@ def presentation(form: FullTwistForm) -> Presentation:
     the two applies.
     """
     if form.q < form.a_max:
-        return _absorption_step(form, form.p - form.a_max)
+        return _absorption_steps(form, form.p - form.a_max)[0]
     return standard_presentation(flip_base(form))
 
 
@@ -256,6 +235,17 @@ def markov_reduce(spec: TLinkSpec) -> TLinkSpec:
         r, s = pairs[-1]
         pairs[-1] = (r, s + 1)
     return TLinkSpec(tuple(pairs))
+
+
+def reduce_tlink(spec: TLinkSpec) -> tuple[TLinkSpec, FullTwistForm | None]:
+    """The Markov-reduced spec and its full-twist form, None outside that shape.
+
+    The one road from a generic T-link to the classifier (classify_spec),
+    the rewrite and the invariants of `tlinks`: a spec with a form is
+    computed on presentation(form), the closure its sweep row certifies.
+    """
+    reduced = markov_reduce(spec)
+    return reduced, to_full_twist_form(reduced)
 
 
 # -- the T((r,s),...) expression grammar -------------------------------------

@@ -54,19 +54,19 @@ def test_criterion_absorption_trace_validity():
     forms = [f for f in enumerate_forms(9, max_n=2, max_s=2) if f.q < f.a_max]
     assert len(forms) == 672
     for form in forms:
-        trace = absorb_strands(form)
-        first = trace.steps[0]
+        steps = absorb_strands(form)
+        first = steps[0]
         base_alex = alexander(first)
         base_components = first.component_count()
         base_chi = euler_char(first)
-        for j, step in enumerate(trace.steps):
+        for j, step in enumerate(steps):
             assert step.strands == form.p - j
             assert len(step.letters) == len(first.letters) - j
             assert euler_char(step) == base_chi
             assert step.component_count() == base_components
             assert alexander(step) == base_alex
-        assert split_full_twists(trace.final)[0] >= 1
-        assert bundle(trace.final).braid_index == form.a_max
+        assert split_full_twists(steps[-1])[0] >= 1
+        assert bundle(steps[-1]).braid_index == form.a_max
     _report(f"absorption trace validity ({len(forms)} forms, p <= 9)", start, 300)
 
 

@@ -29,6 +29,29 @@ def braid_words(draw, max_strands=5, max_letters=10, positive=False):
     return BraidWord(n, tuple(letters))
 
 
+NON_INTEGER_WORDS = [
+    # the strand count or letter that int() would read is named
+    ((3.5, (1,)), "strand count must be an integer, got 3.5"),
+    (("3", (1,)), "strand count must be an integer, got '3'"),
+    ((3, (1.0, 2, 1, 2)), "letter at index 0 must be an integer, got 1.0"),
+    ((3, (1, 2, -1, 1.5)), "letter at index 3 must be an integer, got 1.5"),
+    ((4, (1, 2.0, 5)), "letter at index 1 must be an integer, got 2.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", NON_INTEGER_WORDS)
+def test_non_integer_word_rejected(args, message):
+    with pytest.raises(TypeError) as exc:
+        BraidWord(*args)
+    assert str(exc.value) == message
+
+
+def test_bool_reads_as_an_integer():
+    w = BraidWord(True, ())
+    assert w == BraidWord(1, ()) and type(w.strands) is int
+    assert BraidWord(3, (True, 2, -True)) == BraidWord(3, (1, 2, -1))
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(2, (2,))

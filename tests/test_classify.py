@@ -55,6 +55,8 @@ def test_classify_pairs_reports_invalid():
     assert v.kind == INVALID_INPUT
     v = classify_pairs(((6, 1),), (5, 3))  # a_n >= p
     assert v.kind == INVALID_INPUT
+    v = classify_pairs(((2, 1),), (5.9, 3))  # int() would read p = 5
+    assert (v.kind, v.details) == (INVALID_INPUT, "p must be an integer, got 5.9")
 
 
 def test_classify_spec_examples():

@@ -17,7 +17,8 @@ from tlinks.cli import (
 )
 from tlinks.invariants import DEFAULT_JONES_GUARD
 from tlinks.laurent import InexactDivisionError
-from tlinks.tlink import parse_tlink, standard_braid
+from tlinks.oracle import cross_validate
+from tlinks.tlink import parse_tlink, presentation, standard_braid, to_full_twist_form
 
 
 def run(capsys, *argv):
@@ -145,12 +146,14 @@ def test_oversized_letter_count_rejected_before_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closure", no_work)
     monkeypatch.setattr(cli, "syllable_closure", no_work)
     monkeypatch.setattr(cli, "standard_presentation", no_work)
+    monkeypatch.setattr(cli, "presentation", no_work)
     for argv in [
         ("invariants", "T((3,1000000000))"),
         ("certify", "T((3,1000000000))"),
         ("invariants", over),
         ("certify", over),
         ("invariants", f"T((2,3),(3,{MAX_LETTERS // 2 + 1}))"),
+        ("certify", "T((2,2),(99,97))"),  # a full-twist form of 9508 letters
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
@@ -163,13 +166,50 @@ def test_oversized_letter_count_rejected_before_work(capsys, monkeypatch):
 
 @pytest.mark.parametrize("text", ["T((2,5))", "T((3,4))", "T((3,3),(5,2))", "T((3,2000))"])
 def test_tlink_input_prints_as_its_written_out_word(capsys, text):
-    # a T-link's twists split off by divmod, the written-out standard braid's
-    # by a scan of its letters; both print the same
-    written = braid_text(standard_braid(parse_tlink(text)))
+    # a T-link's twists split off by divmod, the written-out word's by a scan
+    # of its letters; both print the same.  A full-twist form is computed on
+    # its presentation, any other T-link on its standard braid
+    spec = parse_tlink(text)
+    form = to_full_twist_form(spec)
+    written = braid_text(presentation(form).word() if form else standard_braid(spec))
     for command in ("invariants", "certify"):
         code, out, err = run(capsys, command, text)
         assert (code, err) == (EXIT_OK, "")
         assert run(capsys, command, written) == (EXIT_OK, out, ""), command
+
+
+def test_tlink_input_prints_its_sweep_row(capsys):
+    # every p <= 9 form: its spec's T-link text prints, through invariants
+    # and certify, exactly the invariants and certificate of its sweep row
+    rows = cross_validate(9).rows
+    assert len(rows) == 1064
+    for row in rows:
+        cli._print_bundle(row.invariants)
+        bundle = capsys.readouterr().out
+        assert run(capsys, "invariants", row.text) == (EXIT_OK, bundle, ""), row.text
+        assert run(capsys, "certify", row.text) == (EXIT_OK, f"{row.certificate}\n", ""), row.text
+
+
+@pytest.mark.parametrize(
+    "text, torus",
+    [("T((2,2),(4,3))", "T(5,3)"), ("T((3,3),(5,4))", "T(7,4)"), ("T((2,2),(7,3))", "T(8,3)")],
+)
+def test_torus_tlinks_certify_as_torus_matches(capsys, text, torus):
+    # T((q-1,q-1),(p,q)) = T(p+q-2, q): on the q-strand presentation the braid
+    # index is available, and the one surviving candidate matches completely
+    code, out, err = run(capsys, "certify", text)
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[0] == "TorusMatch"
+    assert [line for line in lines if line.endswith("matched")] == [f"  {torus}: matched"]
+
+
+def test_tlink_input_limits_count_the_markov_reduced_spec(capsys):
+    # T((2,3),(101,1)) destabilizes to T((2,4)) on 2 strands
+    over = f"T((2,3),({MAX_STRANDS + 1},1))"
+    assert run(capsys, "invariants", over) == run(capsys, "invariants", "T((2,4))")
+    reducible = "T((3,3),(5,1),(6,1))"
+    assert run(capsys, "certify", reducible) == run(capsys, "certify", "T((3,3),(5,2))")
 
 
 def test_certify_rejects_negative(capsys):
@@ -255,6 +295,19 @@ def test_csv_rows_flatten_json_rows(tmp_path, capsys, timings):
     assert header == _CSV_FIELDS
     assert len(rows) > 1
     assert cells == [_flatten(r) for r in rows]
+
+
+def test_sweep_rejects_unwritable_report_paths_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "cross_validate", no_work)
+    missing = tmp_path / "missing"
+    cases = [("--out", missing / "r.json"), ("--csv", missing / "r.csv"), ("--out", tmp_path)]
+    for flag, path in cases:
+        code, out, err = run(capsys, "sweep", "--max-p", "7", flag, str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write a report to {path}\n")
+    assert not missing.exists()
 
 
 def test_sweep_jobs_flag_keeps_output_identical(tmp_path, capsys):

@@ -411,8 +411,8 @@ def test_euler_char():
 
 
 def test_euler_char_constant_along_trace():
-    trace = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))
-    values = {euler_char(s) for s in trace.steps}
+    steps = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))
+    values = {euler_char(s) for s in steps}
     assert values == {-9}
 
 

@@ -16,6 +16,7 @@ from tlinks.tlink import (
     markov_reduce,
     parse_tlink,
     presentation,
+    reduce_tlink,
     render_tlink,
     standard_braid,
     standard_presentation,
@@ -52,6 +53,36 @@ def test_to_full_twist_form():
     assert to_full_twist_form(TLinkSpec(((5, 3),))) is None
 
 
+def test_gateway_round_trip():
+    # a form's spec has no trailing exponent-1 pair, so the gateway returns
+    # the spec unreduced, with the form it came from
+    forms = list(enumerate_forms(11, 3, 3))
+    assert len(forms) == 33606
+    for form in forms:
+        assert reduce_tlink(form.spec()) == (form.spec(), form), form
+    spec = TLinkSpec(((3, 3), (5, 1), (6, 1)))
+    assert reduce_tlink(spec) == (TLinkSpec(((3, 3), (5, 2))), FullTwistForm(((3, 1),), (5, 2)))
+    assert reduce_tlink(TLinkSpec(((2, 3), (5, 1)))) == (TLinkSpec(((2, 4),)), None)
+
+
+NON_INTEGERS = [
+    # int() would read every one of these; the first bad value is named
+    (TLinkSpec, (((2.9, 3),),), "r must be an integer, got 2.9"),
+    (TLinkSpec, (((2, 3), (5, "2")),), "s must be an integer, got '2'"),
+    (FullTwistForm, (((2.5, 1.7),), (5.9, 3.2)), "a must be an integer, got 2.5"),
+    (FullTwistForm, (((2, 1.0),), (5, 3)), "s must be an integer, got 1.0"),
+    (FullTwistForm, (((2, 1),), (5.9, 3)), "p must be an integer, got 5.9"),
+    (FullTwistForm, (((2, 1),), (5, 3.2)), "q must be an integer, got 3.2"),
+]
+
+
+@pytest.mark.parametrize("cls, args, message", NON_INTEGERS)
+def test_non_integer_parameters_rejected(cls, args, message):
+    with pytest.raises(TypeError) as exc:
+        cls(*args)
+    assert str(exc.value) == message
+
+
 def test_full_twist_form_validation():
     with pytest.raises(ValueError):
         FullTwistForm(((3, 1),), (5, 1))  # q must exceed 1
@@ -72,13 +103,13 @@ def test_flip_base():
 
 def test_absorb_strands_trace():
     f = FullTwistForm(((3, 1),), (5, 2))
-    trace = absorb_strands(f)
-    assert [s.strands for s in trace.steps] == [5, 4, 3]
-    assert trace.final.letters == (2, 2) + (1, 2) * 5
-    # one crossing absorbed per strand, so chi is constant along the trace
-    assert len({euler_char(s) for s in trace.steps}) == 1
-    assert len({s.component_count() for s in trace.steps}) == 1
-    assert len({alexander(s) for s in trace.steps}) == 1
+    steps = absorb_strands(f)
+    assert [s.strands for s in steps] == [5, 4, 3]
+    assert steps[-1].letters == (2, 2) + (1, 2) * 5
+    # one crossing absorbed per strand, so chi is constant along the steps
+    assert len({euler_char(s) for s in steps}) == 1
+    assert len({s.component_count() for s in steps}) == 1
+    assert len({alexander(s) for s in steps}) == 1
     with pytest.raises(ValueError):
         absorb_strands(FullTwistForm(((2, 1),), (5, 3)))
 
@@ -86,10 +117,10 @@ def test_absorb_strands_trace():
 def test_absorb_letter_count_identity():
     # q(p-1) + sum s_i a_i (a_i - 1) letters at the start, one fewer per step
     f = FullTwistForm(((2, 1), (4, 2)), (7, 3))
-    trace = absorb_strands(f)
-    first = len(trace.first.letters)
+    steps = absorb_strands(f)
+    first = len(steps[0].letters)
     assert first == 3 * 6 + 1 * 2 * 1 + 2 * 4 * 3
-    for j, step in enumerate(trace.steps):
+    for j, step in enumerate(steps):
         assert len(step.letters) == first - j
 
 
@@ -126,7 +157,7 @@ def _split(p):
 def _written(form):
     """The presentation of form, written out by absorb_strands or by flip_base and standard_braid."""
     if form.q < form.a_max:
-        return absorb_strands(form).final
+        return absorb_strands(form)[-1]
     return standard_braid(flip_base(form))
 
 
@@ -179,9 +210,9 @@ def test_small_traces_and_flips_preserve_jones():
     checked = 0
     for form in enumerate_forms(8, max_n=2, max_s=2):
         if form.q < form.a_max:
-            trace = absorb_strands(form)
-            if len(trace.first.letters) <= 26:
-                values = [jones(s, guard=26) for s in trace.steps]
+            steps = absorb_strands(form)
+            if len(steps[0].letters) <= 26:
+                values = [jones(s, guard=26) for s in steps]
                 assert all(v is not None and v == values[0] for v in values), form
                 checked += 1
         elif len(standard_braid(form.spec()).letters) <= 26:
