@@ -40,6 +40,7 @@ from .oracle import (
     certify,
     cross_validate,
     enumerate_forms,
+    sweep_rows,
 )
 from .tlink import (
     FullTwistForm,

@@ -75,9 +75,6 @@ class Permutation:
     def cycle_count(self) -> int:
         return len(self.cycles())
 
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
 
 class LetterStats(NamedTuple):
     positive: int

@@ -7,7 +7,7 @@ rewrite     print the strand-absorption trace of a full-twist T-link
 classify    print the classifier verdict with its citation tag
 certify     print the torus-elimination certificate
 sweep       cross-validate classifier against oracle over a parameter range,
-            optionally writing JSON and CSV reports
+            optionally writing JSON and CSV reports, row by row as rows arrive
 
 Inputs are either T-link expressions `T((r1,s1),(r2,s2),...)` or braid words
 `n=K: e1,e2,...`.  Every T-link input goes through one gateway,
@@ -30,14 +30,17 @@ import csv
 import json
 import os
 import sys
+import tempfile
 import time
-from typing import Any
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from typing import Any, Iterable, Iterator, TextIO
 
 from .braid import braid_text, parse_braid_text
 from .classify import classify_spec
 from .invariants import DEFAULT_JONES_GUARD, Closure, InvariantBundle, closure, syllable_closure
 from .laurent import InexactDivisionError, poly_text
-from .oracle import Certificate, SweepReport, certify_bundle, cross_validate
+from .oracle import Certificate, SweepReport, SweepRow, certify_bundle, sweep_params, sweep_rows
 from .tlink import (
     TLinkParseError,
     TLinkSpec,
@@ -171,31 +174,16 @@ def _certificate_dict(c: Certificate) -> dict[str, Any]:
     }
 
 
-def report_rows(report: SweepReport, include_timings: bool) -> list[dict[str, Any]]:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "input": r.text,
-                "pairs": [[a, b] for a, b in r.spec.pairs],
-                "verdict": {"kind": r.verdict.kind, "rule": r.verdict.rule},
-                "certificate": _certificate_dict(r.certificate),
-                "invariants": _bundle_dict(r.invariants),
-                "timingMs": r.timing_ms if include_timings else 0,
-            }
-        )
-    return rows
-
-
-def write_json_report(report: SweepReport, path: str, include_timings: bool) -> None:
-    doc = {
-        "params": dict(report.params),
-        "rows": report_rows(report, include_timings),
-        "disagreements": len(report.disagreements),
+def report_row(r: SweepRow, include_timings: bool) -> dict[str, Any]:
+    """One sweep row as its JSON report object; its CSV row flattens the same dict."""
+    return {
+        "input": r.text,
+        "pairs": [[a, b] for a, b in r.spec.pairs],
+        "verdict": {"kind": r.verdict.kind, "rule": r.verdict.rule},
+        "certificate": _certificate_dict(r.certificate),
+        "invariants": _bundle_dict(r.invariants),
+        "timingMs": r.timing_ms if include_timings else 0,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 _CSV_FIELDS = [
@@ -216,63 +204,139 @@ _CSV_FIELDS = [
 ]
 
 
+def _csv_cells(row: dict[str, Any]) -> list[Any]:
+    """A report_row flattened into _CSV_FIELDS; None is an empty cell."""
+    verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
+    return [
+        row["input"],
+        ";".join(f"{a},{s}" for a, s in row["pairs"]),
+        verdict["kind"],
+        verdict["rule"],
+        cert["kind"],
+        "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
+        int(cert["guardHit"]),
+        inv["components"],
+        inv["letters"],
+        inv["eulerChar"],
+        inv["braidIndex"],
+        inv["alexander"],
+        inv["jones"],
+        row["timingMs"],
+    ]
+
+
+@contextmanager
+def _replacing(path: str, newline: str | None) -> Iterator[TextIO]:
+    """A text file that takes the place of path only when the block completes.
+
+    It is written under a temporary name in the directory of the file path
+    resolves to, so the final os.replace is atomic; if the block raises, the
+    temporary file is removed and any file at path is left as it was.  As
+    with a plain open, a symlink at path is written through, and the mode
+    is the umask's, not mkstemp's 0600.
+    """
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _json_indented(value: Any, indent: str) -> str:
+    """json.dumps(value, indent=2) as it reads nested at this indent."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def write_reports(
+    params: tuple[tuple[str, int], ...],
+    rows: Iterable[SweepRow],
+    include_timings: bool,
+    json_path: str | None = None,
+    csv_path: str | None = None,
+) -> None:
+    """Stream sweep rows into a JSON and/or a CSV report, each row rendered once.
+
+    Each row is rendered by report_row, written to both reports and dropped,
+    so memory does not grow with the row count.  The JSON bytes are exactly
+    those of json.dump(doc, indent=2) plus a newline, for the document
+    {"params", "rows", "disagreements"}: the header, then each row dumped on
+    its own and indented to its depth, then the running count of
+    contradictions.  Each report takes its path only after the last row
+    (_replacing).  With neither path, the rows are drained unrendered.
+    """
+    with ExitStack() as stack:
+        js = stack.enter_context(_replacing(json_path, None)) if json_path else None
+        table = None
+        if csv_path:
+            table = csv.writer(stack.enter_context(_replacing(csv_path, "")), lineterminator="\n")
+            table.writerow(_CSV_FIELDS)
+        if js is not None:
+            js.write('{\n  "params": ' + _json_indented(dict(params), "  ") + ',\n  "rows": [')
+        count = disagreements = 0
+        for r in rows:
+            disagreements += r.contradiction
+            if js is None and table is None:
+                continue
+            row = report_row(r, include_timings)
+            if js is not None:
+                js.write((",\n    " if count else "\n    ") + _json_indented(row, "    "))
+            if table is not None:
+                table.writerow(_csv_cells(row))
+            count += 1
+        if js is not None:
+            js.write(("\n  ]" if count else "]") + f',\n  "disagreements": {disagreements}\n}}\n')
+
+
+def write_json_report(report: SweepReport, path: str, include_timings: bool) -> None:
+    write_reports(report.params, report.rows, include_timings, json_path=path)
+
+
 def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> None:
-    """The rows of report_rows flattened into _CSV_FIELDS; None is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        for row in report_rows(report, include_timings):
-            verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
-            writer.writerow(
-                [
-                    row["input"],
-                    ";".join(f"{a},{s}" for a, s in row["pairs"]),
-                    verdict["kind"],
-                    verdict["rule"],
-                    cert["kind"],
-                    "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
-                    int(cert["guardHit"]),
-                    inv["components"],
-                    inv["letters"],
-                    inv["eulerChar"],
-                    inv["braidIndex"],
-                    inv["alexander"],
-                    inv["jones"],
-                    row["timingMs"],
-                ]
-            )
+    write_reports(report.params, report.rows, include_timings, csv_path=path)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # a report path that cannot be written fails now, not after the sweep
-    for path in filter(None, (args.out, args.csv)):
-        if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+    paths = [path for path in (args.out, args.csv) if path]
+    for path in paths:
+        if os.path.isdir(path) or not os.access(os.path.dirname(os.path.realpath(path)), os.W_OK):
             raise _UsageError(f"cannot write a report to {path}")
+    if len(paths) == 2 and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise _UsageError(f"--out and --csv name the same file {args.out}")
+    verdicts: Counter[str] = Counter()
+    certificates: Counter[str] = Counter()
+    contradictions: list[str] = []
+
+    def tallied(rows: Iterable[SweepRow]) -> Iterator[SweepRow]:
+        for row in rows:
+            verdicts[row.verdict.kind] += 1
+            certificates[row.certificate.kind] += 1
+            if row.contradiction:
+                contradictions.append(row.text)
+            yield row
+
+    bounds = (args.max_p, args.max_n, args.max_s, args.max_a, args.jones_guard)
     start = time.perf_counter()
-    report = cross_validate(
-        max_p=args.max_p,
-        max_n=args.max_n,
-        max_s=args.max_s,
-        max_a=args.max_a,
-        guard=args.jones_guard,
-        jobs=args.jobs,
-    )
+    rows = tallied(sweep_rows(*bounds, jobs=args.jobs))
+    write_reports(sweep_params(*bounds), rows, args.timings, args.out, args.csv)
     elapsed = time.perf_counter() - start
-    if args.out:
-        write_json_report(report, args.out, args.timings)
-    if args.csv:
-        write_csv_report(report, args.csv, args.timings)
-    print(f"instances: {len(report.rows)}")
-    for kind, count in sorted(report.verdict_counts().items()):
+    print(f"instances: {sum(verdicts.values())}")
+    for kind, count in sorted(verdicts.items()):
         print(f"  verdict {kind}: {count}")
-    for kind, count in sorted(report.certificate_counts().items()):
+    for kind, count in sorted(certificates.items()):
         print(f"  certificate {kind}: {count}")
-    disagreements = report.disagreements
-    print(f"disagreements: {len(disagreements)}")
+    print(f"disagreements: {len(contradictions)}")
     print(f"elapsed: {elapsed:.1f}s")
-    if disagreements:
-        for row in disagreements:
-            print(f"  CONTRADICTION: {row.text}", file=sys.stderr)
+    if contradictions:
+        for text in contradictions:
+            print(f"  CONTRADICTION: {text}", file=sys.stderr)
         return EXIT_CONTRADICTION
     return EXIT_OK
 

@@ -69,12 +69,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no minimal exponent")
         return min(self._coeffs)
 
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no maximal exponent")
-        return max(self._coeffs)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, product
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -183,9 +184,6 @@ class SweepReport:
     def disagreements(self) -> list[SweepRow]:
         return [r for r in self.rows if r.contradiction]
 
-    def verdict_counts(self) -> dict[str, int]:
-        return dict(Counter(r.verdict.kind for r in self.rows))
-
     def certificate_counts(self) -> dict[str, int]:
         return dict(Counter(r.certificate.kind for r in self.rows))
 
@@ -197,8 +195,6 @@ def enumerate_forms(
     max_a: int | None = None,
 ) -> Iterator[FullTwistForm]:
     """All valid full-twist forms within the bounds, in lexicographic order."""
-    from itertools import combinations, product
-
     for p in range(3, max_p + 1):
         for q in range(2, p):
             a_cap = min(p - 1, max_a) if max_a is not None else p - 1
@@ -229,6 +225,81 @@ def _sweep_row(args: tuple[int, FullTwistForm, int]) -> SweepRow:
     )
 
 
+def _sweep_chunk(tasks: list[tuple[int, FullTwistForm, int]]) -> list[SweepRow]:
+    return [_sweep_row(t) for t in tasks]
+
+
+# forms per task sent to a worker, and chunks in flight per worker: enough to
+# keep every worker busy while the rows before them are consumed, few enough
+# that neither forms nor finished rows pile up in the parent
+_CHUNK = 8
+_CHUNKS_PER_WORKER = 4
+
+
+def _pooled_rows(tasks: Iterator[tuple[int, FullTwistForm, int]], workers: int) -> Iterator[SweepRow]:
+    """_sweep_row over tasks in a pool of workers, yielded in task order.
+
+    Chunks are submitted as earlier ones are consumed, so at most
+    _CHUNKS_PER_WORKER chunks per worker are queued or done but unread.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        while chunk := list(islice(tasks, _CHUNK)):
+            pending.append(pool.submit(_sweep_chunk, chunk))
+            if len(pending) >= _CHUNKS_PER_WORKER * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
+def sweep_params(
+    max_p: int,
+    max_n: int = 2,
+    max_s: int = 2,
+    max_a: int | None = None,
+    guard: int = DEFAULT_JONES_GUARD,
+) -> tuple[tuple[str, int], ...]:
+    """The parameters a sweep report records, max_a resolved to its default."""
+    return (
+        ("max_p", max_p),
+        ("max_n", max_n),
+        ("max_s", max_s),
+        ("max_a", max_a if max_a is not None else max_p - 1),
+        ("guard", guard),
+    )
+
+
+def sweep_rows(
+    max_p: int,
+    max_n: int = 2,
+    max_s: int = 2,
+    max_a: int | None = None,
+    guard: int = DEFAULT_JONES_GUARD,
+    jobs: int = 1,
+) -> Iterator[SweepRow]:
+    """Run classifier and oracle over every form in range, one row at a time.
+
+    Rows stream: each is yielded as soon as it and every row before it are
+    done, and nothing here keeps a row once it is yielded, so a consumer
+    that drops its rows runs in memory flat in the row count.  Forms are
+    enumerated lazily too.  Row order is the enumeration order regardless of
+    job count, so reports are deterministic.  At most jobs worker processes
+    start, and never more than there are CPUs or forms; their results are
+    taken in order as they complete, with a bounded number of chunks in
+    flight.
+    """
+    tasks = ((i, form, guard) for i, form in enumerate(enumerate_forms(max_p, max_n, max_s, max_a)))
+    # the worker count is capped by the forms, of which only that many are read ahead
+    head = list(islice(tasks, min(jobs, os.cpu_count() or 1)))
+    tasks = chain(head, tasks)
+    if len(head) > 1:
+        yield from _pooled_rows(tasks, len(head))
+    else:
+        yield from map(_sweep_row, tasks)
+
+
 def cross_validate(
     max_p: int,
     max_n: int = 2,
@@ -237,29 +308,13 @@ def cross_validate(
     guard: int = DEFAULT_JONES_GUARD,
     jobs: int = 1,
 ) -> SweepReport:
-    """Run classifier and oracle over every form in range and collect rows.
+    """Every row of sweep_rows, kept in one report.
 
-    Row order is the enumeration order regardless of job count, so reports
-    are deterministic.  At most jobs worker processes start, and never more
-    than there are CPUs or forms.  A disagreement is a NotTorusLink verdict
-    paired with a TorusMatch certificate; the source theorem predicts there
-    are none.
+    The report holds every row, so its memory grows with the row count; to
+    write reports or tally a long sweep, read sweep_rows directly, as
+    `tlinks sweep` does.  A disagreement is a NotTorusLink verdict paired
+    with a TorusMatch certificate; the source theorem predicts there are
+    none.
     """
-    forms = list(enumerate_forms(max_p, max_n, max_s, max_a))
-    tasks = [(i, form, guard) for i, form in enumerate(forms)]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_sweep_row, tasks, chunksize=8))
-    else:
-        rows = tuple(_sweep_row(t) for t in tasks)
-    params = (
-        ("max_p", max_p),
-        ("max_n", max_n),
-        ("max_s", max_s),
-        ("max_a", max_a if max_a is not None else max_p - 1),
-        ("guard", guard),
-    )
-    return SweepReport(params, rows)
+    rows = tuple(sweep_rows(max_p, max_n, max_s, max_a, guard, jobs))
+    return SweepReport(sweep_params(max_p, max_n, max_s, max_a, guard), rows)

@@ -10,8 +10,9 @@ determinants by Leibniz expansion, polynomial division by the schoolbook
 method on dense coefficient lists, values at a point as exact fractions,
 the Garside normal form by left-weighting every adjacent pair until nothing
 changes, braid-word equivalence by closing the word under commutation and
-braid relations, and torus candidate parameters by direct integer
-enumeration.
+braid relations, torus candidate parameters by direct integer
+enumeration, and sweep reports by one json.dump of the whole document and a
+CSV table flattened from the list of every row's dict.
 
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
@@ -23,6 +24,8 @@ oracles.  They are views of the engines under test, not independent checks.
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -30,9 +33,11 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Permutation
+from tlinks.cli import _CSV_FIELDS, report_row
 from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
 from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
+from tlinks.oracle import SweepReport
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
 
@@ -79,6 +84,13 @@ def poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
     return result
 
 
+def max_exp(p: LaurentPoly) -> int:
+    """The highest exponent of a nonzero polynomial."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no maximal exponent")
+    return p.terms()[-1][0]
+
+
 def evaluate(p: LaurentPoly, x: int) -> Fraction:
     """Exact value at a nonzero integer point (a Fraction because of t^-k terms)."""
     if x == 0:
@@ -98,8 +110,8 @@ def divide_exact(p: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     num, den = dict(p.terms()), dict(divisor.terms())
     lo, dlo = p.min_exp, divisor.min_exp
-    rem = [num.get(e, 0) for e in range(lo, p.max_exp + 1)]
-    den_list = [den.get(e, 0) for e in range(dlo, divisor.max_exp + 1)]
+    rem = [num.get(e, 0) for e in range(lo, max_exp(p) + 1)]
+    den_list = [den.get(e, 0) for e in range(dlo, max_exp(divisor) + 1)]
     top = len(den_list) - 1
     quot = [0] * (len(rem) - top)
     for pos in range(len(quot) - 1, -1, -1):
@@ -290,6 +302,10 @@ def torus_jones_closed_form(p: int, q: int) -> LaurentPoly:
     return LaurentPoly({4 * e: c for e, c in v.terms()})
 
 
+def is_identity(f: Permutation) -> bool:
+    return all(img == i for i, img in enumerate(f.images, start=1))
+
+
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -434,7 +450,7 @@ def reduced_burau(w: BraidWord) -> PolyMatrix:
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     """(lowest exponent, every coefficient from it up to the highest) of a nonzero p."""
     coeffs = dict(p.terms())
-    return p.min_exp, [coeffs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1)]
+    return p.min_exp, [coeffs.get(e, 0) for e in range(p.min_exp, max_exp(p) + 1)]
 
 
 def determinant(m: PolyMatrix) -> LaurentPoly:
@@ -442,3 +458,42 @@ def determinant(m: PolyMatrix) -> LaurentPoly:
     rows = [[_dense(p) if p else None for p in row] for row in m.entries]
     det, k, _, low = packed_determinant(rows, 1)
     return unpack(det, k, low)
+
+
+def whole_json_report(report: SweepReport, path: str, include_timings: bool) -> None:
+    """The JSON sweep report as one json.dump of the whole document, every row in memory."""
+    doc = {
+        "params": dict(report.params),
+        "rows": [report_row(r, include_timings) for r in report.rows],
+        "disagreements": len(report.disagreements),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def whole_csv_report(report: SweepReport, path: str, include_timings: bool) -> None:
+    """The CSV sweep report flattened from the list of every row's dict; None is an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_FIELDS)
+        for row in [report_row(r, include_timings) for r in report.rows]:
+            verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
+            writer.writerow(
+                [
+                    row["input"],
+                    ";".join(f"{a},{s}" for a, s in row["pairs"]),
+                    verdict["kind"],
+                    verdict["rule"],
+                    cert["kind"],
+                    "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
+                    int(cert["guardHit"]),
+                    inv["components"],
+                    inv["letters"],
+                    inv["eulerChar"],
+                    inv["braidIndex"],
+                    inv["alexander"],
+                    inv["jones"],
+                    row["timingMs"],
+                ]
+            )

@@ -1,9 +1,12 @@
 import csv
 import json
+import stat
+import weakref
 
 import pytest
+from _oracles import whole_csv_report, whole_json_report
 
-from tlinks import cli, invariants
+from tlinks import cli, invariants, oracle
 from tlinks.braid import braid_text
 from tlinks.cli import (
     _CSV_FIELDS,
@@ -301,13 +304,118 @@ def test_sweep_rejects_unwritable_report_paths_before_work(tmp_path, capsys, mon
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli, "cross_validate", no_work)
+    monkeypatch.setattr(cli, "sweep_rows", no_work)
     missing = tmp_path / "missing"
     cases = [("--out", missing / "r.json"), ("--csv", missing / "r.csv"), ("--out", tmp_path)]
     for flag, path in cases:
         code, out, err = run(capsys, "sweep", "--max-p", "7", flag, str(path))
         assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write a report to {path}\n")
     assert not missing.exists()
+
+
+def test_sweep_rejects_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
+    # the CSV would replace the JSON report; both fail before any row
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep_rows", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.txt").write_text("kept")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "r.txt")
+    for out, table in [("r.txt", "r.txt"), ("r.txt", str(tmp_path / "r.txt")), ("link.txt", "./r.txt")]:
+        code, stdout, err = run(capsys, "sweep", "--max-p", "7", "--out", out, "--csv", table)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == f"error: --out and --csv name the same file {out}\n"
+    assert (tmp_path / "r.txt").read_text() == "kept"
+
+
+def test_failed_sweep_leaves_earlier_reports_in_place(tmp_path, capsys, monkeypatch):
+    # every report is written under a temporary name and takes its path only
+    # after the last row, so a sweep that fails part way changes no file
+    made = []
+    real = oracle._sweep_row
+
+    def fails_third(args):
+        made.append(args)
+        if len(made) == 3:
+            raise InexactDivisionError("polynomial division is not exact")
+        return real(args)
+
+    monkeypatch.setattr(oracle, "_sweep_row", fails_third)
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    out.write_text("earlier json")
+    table.write_text("earlier csv")
+    code, stdout, err = run(capsys, "sweep", "--max-p", "7", "--out", str(out), "--csv", str(table))
+    assert (code, stdout) == (EXIT_INTERNAL, "")
+    assert err == "internal error: polynomial division is not exact\n"
+    assert len(made) == 3
+    assert out.read_text() == "earlier json" and table.read_text() == "earlier csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+
+def test_reports_land_where_a_plain_open_writes(tmp_path, capsys):
+    # the temporary file takes the mode a plain open gives, and a report
+    # path that is a symlink is written through, not replaced
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    (tmp_path / "elsewhere").mkdir()
+    target = tmp_path / "elsewhere" / "r.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    out = tmp_path / "r.json"
+    args = ["sweep", "--max-p", "4", "--out", str(out), "--csv", str(link)]
+    assert run(capsys, *args)[0] == EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert link.is_symlink() and target.read_text().startswith("input,pairs,")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_streamed_reports_equal_the_whole_document(tmp_path, timings):
+    # one report object, so equal timings; the empty grid gives "rows": []
+    for report in (cross_validate(6), cross_validate(max_p=2)):
+        cli.write_json_report(report, str(tmp_path / "s.json"), timings)
+        cli.write_csv_report(report, str(tmp_path / "s.csv"), timings)
+        whole_json_report(report, str(tmp_path / "w.json"), timings)
+        whole_csv_report(report, str(tmp_path / "w.csv"), timings)
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "w.json").read_bytes()
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+    assert json.loads((tmp_path / "s.json").read_text())["rows"] == []
+    assert (tmp_path / "s.json").read_text().count("\n  \"rows\": [],\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_command_streams_the_whole_document(tmp_path, capsys, jobs):
+    out, table = tmp_path / "s.json", tmp_path / "s.csv"
+    args = ["sweep", "--max-p", "6", "--jobs", jobs, "--out", str(out), "--csv", str(table)]
+    assert run(capsys, *args)[0] == EXIT_OK
+    report = cross_validate(6)
+    whole_json_report(report, str(tmp_path / "w.json"), False)
+    whole_csv_report(report, str(tmp_path / "w.csv"), False)
+    assert out.read_bytes() == (tmp_path / "w.json").read_bytes()
+    assert table.read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+
+def test_sweep_keeps_a_bounded_number_of_rows_alive(tmp_path, capsys, monkeypatch):
+    # each row is tallied, written to both reports and dropped before long:
+    # while the 260 rows of p <= 7 are made, only a few are alive at once
+    refs = []
+    most = 0
+    real = oracle._sweep_row
+
+    def tracked(args):
+        nonlocal most
+        row = real(args)
+        refs.append(weakref.ref(row))
+        most = max(most, sum(ref() is not None for ref in refs))
+        return row
+
+    monkeypatch.setattr(oracle, "_sweep_row", tracked)
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    code, stdout, _ = run(capsys, "sweep", "--max-p", "7", "--out", str(out), "--csv", str(table))
+    assert code == EXIT_OK
+    assert "instances: 260" in stdout
+    assert len(refs) == 260 and len(json.loads(out.read_text())["rows"]) == 260
+    assert most <= 3
 
 
 def test_sweep_jobs_flag_keeps_output_identical(tmp_path, capsys):

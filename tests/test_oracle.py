@@ -272,14 +272,15 @@ def test_guard_monotonicity_across_a_sweep():
             assert a.certificate.kind == b.certificate.kind, a.text
 
 
-def test_cross_validate_caps_worker_count(monkeypatch):
-    # no real process starts: the pool is a serial stand-in that records
-    # how many workers it was asked for
-    created = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """No real process starts: the pool is a serial stand-in that records how
+    many workers it was asked for and the chunks submitted to it."""
+    log = {"created": [], "submitted": []}
 
     class SerialPool:
         def __init__(self, max_workers):
-            created.append(max_workers)
+            log["created"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -287,15 +288,24 @@ def test_cross_validate_caps_worker_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            log["submitted"].append(args)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    # sweep_rows imports the pool class only when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+def test_cross_validate_caps_worker_count(monkeypatch, serial_pool):
+    created = serial_pool["created"]
 
     def rows(**kwargs):
         report = cross_validate(max_s=1, max_n=1, **kwargs)
         return [(r.text, r.verdict, r.certificate, r.invariants) for r in report.rows]
 
-    # cross_validate imports the pool class only when it starts workers
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     serial = rows(max_p=5)
     assert created == [] and len(serial) > 3
@@ -308,6 +318,23 @@ def test_cross_validate_caps_worker_count(monkeypatch):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
     assert rows(max_p=5, jobs=100_000) == serial
     assert created == [3, 2, 2]
+
+
+def test_pooled_sweep_submits_chunks_as_rows_are_read(monkeypatch, serial_pool):
+    # the 260 forms of p <= 7 are 33 chunks of 8, but before its first row
+    # is read a sweep on two workers has submitted only four chunks per
+    # worker; the rest follow one chunk per chunk read
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    rows = oracle.sweep_rows(7, jobs=2)
+    first = next(rows)
+    assert serial_pool["created"] == [2]
+    assert len(serial_pool["submitted"]) == 8
+    rest = list(rows)
+    assert [first.index] + [r.index for r in rest] == list(range(260))
+    assert len(serial_pool["submitted"]) == 33
+    assert [t for (chunk,) in serial_pool["submitted"] for t in chunk] == [
+        (i, form, invariants.DEFAULT_JONES_GUARD) for i, form in enumerate(enumerate_forms(7))
+    ]
 
 
 def test_cross_validate_jobs_agree():
