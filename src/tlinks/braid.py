@@ -50,12 +50,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
         seen = [False] * self.size
@@ -137,41 +131,6 @@ class BraidWord:
             raise ValueError("strand counts differ")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return self.concat(other)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-e for e in reversed(self.letters)))
-
-    def conjugated_by(self, g: "BraidWord") -> "BraidWord":
-        """g^-1 * self * g; the closure's link type is unchanged."""
-        if g.strands != self.strands:
-            raise ValueError("strand counts differ")
-        return g.inverse().concat(self).concat(g)
-
-    def stabilized(self) -> "BraidWord":
-        """Markov stabilization: same closure on one more strand."""
-        return BraidWord(self.strands + 1, self.letters + (self.strands,))
-
-    def destabilized(self) -> "BraidWord":
-        """Markov destabilization.
-
-        Requires sigma_{n-1}^{+-1} to occur exactly once; rotates the word
-        cyclically (a conjugation, harmless to the closure) to bring that
-        letter last, deletes it, and drops to n-1 strands.
-        """
-        top = self.strands - 1
-        if top < 1:
-            raise ValueError("cannot destabilize a 1-strand braid")
-        hits = [i for i, e in enumerate(self.letters) if abs(e) == top]
-        if len(hits) != 1:
-            raise ValueError(
-                f"sigma_{top} must occur exactly once, found {len(hits)} occurrences"
-            )
-        i = hits[0]
-        rotated = self.letters[i + 1 :] + self.letters[:i]
-        return BraidWord(self.strands - 1, rotated)
-
     def __str__(self) -> str:
         return braid_text(self)
 
@@ -218,10 +177,11 @@ def closure_pieces(w: BraidWord) -> tuple[BraidWord, ...]:
       them on one side, going round the cyclic word, commutes with sigma_g,
       that is has |f| outside {g-1, g, g+1}.
     * Destabilization: a generator g with one letter left, the highest of
-      its piece (g + 1 has none), is deleted by BraidWord.destabilized,
-      which drops the top strand of the piece.  The lowest of its piece
-      (g - 1 has none) is deleted by the same move after conjugating the
-      piece by Delta, which relabels i as n - i.
+      its piece (g + 1 has none), is Markov's destabilization: its one
+      letter is deleted in place from the list of letters, as the last
+      letter of a rotation (see above), and the piece loses its top strand.
+      The lowest of its piece (g - 1 has none) is the same move after
+      conjugating the piece by Delta, which relabels i as n - i.
     * Split: a generator with no letters left, not destabilized, separates
       the strands below it from those above, so the closure is their split
       union.  Each piece keeps its letters, relabelled from 1.

@@ -18,7 +18,8 @@ closure scans a raw word once for its literal twists (braid.split_full_twists):
 * the Jones polynomial through the Kauffman bracket, under a crossing guard
   on the braid's letter count: the braid is first reduced by exact moves and
   split into pieces (braid.closure_pieces), and each piece is summed with one
-  integer packed at t^(1/2) = 2^K per planar-matching bucket.
+  integer packed at t^(1/2) = 2^K per planar-matching bucket, its moves read
+  from one Temperley-Lieb move table per strand count.
 
 Alexander and Jones are computed on their first read, the other fields at
 once.  Closure.bundle freezes all six into an InvariantBundle, for bundle
@@ -54,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import prod
+from threading import Lock
 
 from .braid import BraidWord, Presentation, closure_pieces, split_full_twists
 from .garside import infimum
@@ -66,13 +68,16 @@ from .laurent import (
 )
 
 # Cost model of jones: per piece of the reduced word, about letters x
-# min(Catalan(strands), 2^letters) bucket updates, each a dict lookup, a shift
-# and an add on an integer of at most 2 x letters digits of K = letters +
-# strands + 1 bits.  The reduction before it (braid.closure_pieces) is
-# repeated list scans; on every word measured it costs a small part of the
-# state sum on what it leaves.  The guard counts the letters of the word as
-# given, before the reduction, so which words get a Jones value does not
-# depend on how far they reduce.
+# min(Catalan(strands), 2^letters) bucket updates, each a list index into the
+# move table of its strand count, a shift and an add on an integer of at most
+# 2 x letters digits of K = letters + strands + 1 bits.  A move is worked out
+# once per process per strand count (_state_sum), so a cold table adds at
+# most (strands - 1) x Catalan(strands) cup-cap moves, shared by later words.
+# The reduction before it (braid.closure_pieces) is repeated list scans; on
+# every word measured it costs a small part of the state sum on what it
+# leaves.  The guard counts the letters of the word as given, before the
+# reduction, so which words get a Jones value does not depend on how far they
+# reduce.
 DEFAULT_JONES_GUARD = 24
 
 
@@ -273,6 +278,64 @@ def _closure_loops(matching: tuple[int, ...], n: int) -> int:
 _SPLIT_FACTOR = LaurentPoly({2: -1, -2: -1})
 
 
+class _MoveTable:
+    """The Temperley-Lieb action of sigma_1 ... sigma_(n-1) on the n-strand matchings, grown on use.
+
+    matchings[s] is the matching numbered s, in the order first met, and ids
+    maps it back; loops[s] is its closure-loop count (_closure_loops), taken
+    once when it is numbered.  moves[i][s] is the id that the cup-cap
+    smoothing of sigma_i leads to from s, -1 where it closes a loop (a
+    kink), None until a state sum first needs it (moves[0] unused).  The
+    kept tables are shared by every caller in the process, so cup_cap
+    numbers a new matching under the table's lock: numbered by two threads
+    at once, it could get the id of another matching.
+    """
+
+    __slots__ = ("n", "matchings", "ids", "loops", "moves", "lock")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.matchings: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.loops: list[int] = []
+        self.moves: list[list[int | None]] = [[] for _ in range(n)]
+        self.lock = Lock()
+        self._number(tuple(range(n, 2 * n)) + tuple(range(n)))  # id 0, the identity
+
+    def _number(self, m: tuple[int, ...]) -> int:
+        s = self.ids[m] = len(self.matchings)
+        self.matchings.append(m)
+        self.loops.append(_closure_loops(m, self.n))
+        for move in self.moves[1:]:
+            move.append(None)
+        return s
+
+    def cup_cap(self, s: int, i: int) -> int:
+        """moves[i][s], worked out and stored."""
+        n, m = self.n, self.matchings[s]
+        x, y = n + i - 1, n + i
+        a, b = m[x], m[y]
+        if a == y:
+            t = -1
+        else:
+            lst = list(m)
+            lst[a], lst[b] = b, a
+            lst[x], lst[y] = y, x
+            m2 = tuple(lst)
+            with self.lock:
+                t = self.ids.get(m2)
+                if t is None:
+                    t = self._number(m2)
+        self.moves[i][s] = t
+        return t
+
+
+# Move tables kept for the life of the process, by strand count, for at most
+# this many strands (see _state_sum)
+_RETAINED_STRANDS = 9
+_move_tables: dict[int, _MoveTable] = {}
+
+
 def _state_sum(w: BraidWord) -> LaurentPoly:
     """Jones polynomial of the closure by the Kauffman state sum.
 
@@ -290,11 +353,29 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     the padding 2(n-1) and the offsets 2c - writhe of the c crossings, plus
     the normalization 3 writhe.
 
-    Numbered matchings.  Each matching gets an integer id when first made,
-    and buckets are keyed by id.  The cup-cap smoothing of matching s at
-    sigma_i is worked out once per call, when a bucket first needs it, and
-    kept in a dict per generator as the id it leads to, or -1 where it closes
-    a loop.  A smoothing is then a dict lookup and the shift-adds.
+    One move table per strand count.  The cup-cap smoothings are the
+    Temperley-Lieb action of the generators on the matchings (Jones 1987),
+    which depends on n alone, so they are worked out once per process per
+    strand count, in a _MoveTable that every state sum on n strands reads
+    and extends.  A matching gets an id, and its closure-loop count, when
+    first met, and buckets are keyed by id; the cup-cap smoothing of
+    matching s at sigma_i is worked out the first time a bucket needs it and
+    kept as the id it leads to, or -1 where it closes a loop.  A smoothing
+    is then a list index and the shift-adds, and a final bucket reads its
+    loop count.  The table is structure, not a result: it is keyed by n,
+    never by the word, so each word still gets its own state sum; and every
+    bucket is an exact integer, so ids numbered in another order change only
+    the order of the additions, never a value.
+
+    Retention bound.  The tables for n <= _RETAINED_STRANDS = 9 are kept;
+    above that, each call builds a table of its own.  A matching of a table
+    is what the smoothed diagram leaves between the top and the frontier
+    once its closed loops are counted out: arcs that end at the 2n points
+    and, as every smoothing is planar, do not cross.  These are non-crossing
+    perfect matchings of 2n points on the boundary of the rectangle, a
+    circle, which Catalan(n) counts.  So the table for n holds at most
+    Catalan(n) matchings and (n-1) Catalan(n) moves, and the kept tables at
+    most Catalan(1) + ... + Catalan(9) = 6917 matchings and 52,362 moves.
 
     Digit width.  A crossing turns a bucket of l1 norm N into terms of norm N
     in two buckets, or in one at a kink, and sums are subadditive, so all
@@ -304,28 +385,12 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     """
     n, c = w.strands, len(w.letters)
     k = c + n + 1
-    start = tuple(list(range(n, 2 * n)) + list(range(n)))
-    matchings = [start]
-    ids = {start: 0}
-    # moves[i][s]: the id after the cup-cap smoothing of sigma_i, -1 at a
-    # kink; absent until used (moves[0] unused)
-    moves: list[dict[int, int]] = [{} for _ in range(n)]
-
-    def cup_cap(s: int, i: int) -> int:
-        m = matchings[s]
-        x, y = n + i - 1, n + i
-        a, b = m[x], m[y]
-        if a == y:
-            return -1
-        lst = list(m)
-        lst[a], lst[b] = b, a
-        lst[x], lst[y] = y, x
-        m2 = tuple(lst)
-        t = ids.get(m2)
-        if t is None:
-            t = ids[m2] = len(matchings)
-            matchings.append(m2)
-        return t
+    table = _move_tables.get(n)
+    if table is None:
+        table = _MoveTable(n)
+        if n <= _RETAINED_STRANDS:
+            _move_tables[n] = table
+    moves, cup_cap = table.moves, table.cup_cap
 
     states = {0: 1}
     for letter in w.letters:
@@ -335,9 +400,9 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
         acc: dict[int, int] = {}
         get = acc.get
         for s, v in states.items():
-            t = move.get(s)
+            t = move[s]
             if t is None:
-                t = move[s] = cup_cap(s, i)
+                t = cup_cap(s, i)
             if t < 0:
                 acc[s] = get(s, 0) - (v << kink)
             else:
@@ -345,9 +410,10 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
                 acc[t] = get(t, 0) + (v << k)
         states = {key: val for key, val in acc.items() if val}
 
+    loops = table.loops
     by_loops = [0] * (n + 1)
     for s, v in states.items():
-        by_loops[_closure_loops(matchings[s], n)] += v
+        by_loops[loops[s]] += v
     loop = -1 - (1 << 2 * k)
     packed = sum(v * loop ** (L - 1) << (n - L) * k for L, v in enumerate(by_loops) if v)
 

@@ -16,7 +16,8 @@ CSV table flattened from the list of every row's dict.
 
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
-helpers, and reduced_burau and determinant, which read the library's packed
+helpers, the braid-word moves that only the tests make (product, inverse,
+conjugation, Markov stabilization and destabilization), and reduced_burau and determinant, which read the library's packed
 engines (invariants._packed_columns, laurent.packed_determinant) back as
 polynomial matrices so that the tests can compare those engines with the
 oracles.  They are views of the engines under test, not independent checks.
@@ -306,6 +307,54 @@ def is_identity(f: Permutation) -> bool:
     return all(img == i for i, img in enumerate(f.images, start=1))
 
 
+def permutation_inverse(f: Permutation) -> Permutation:
+    inv = [0] * f.size
+    for i, img in enumerate(f.images, start=1):
+        inv[img - 1] = i
+    return Permutation(tuple(inv))
+
+
+# -- braid-word moves only the tests make --------------------------------------
+
+
+def word_product(a: BraidWord, b: BraidWord) -> BraidWord:
+    """a * b: the letters of a, then those of b."""
+    return a.concat(b)
+
+
+def word_inverse(w: BraidWord) -> BraidWord:
+    return BraidWord(w.strands, tuple(-e for e in reversed(w.letters)))
+
+
+def conjugated_by(w: BraidWord, g: BraidWord) -> BraidWord:
+    """g^-1 * w * g; the closure's link type is unchanged."""
+    if g.strands != w.strands:
+        raise ValueError("strand counts differ")
+    return word_inverse(g).concat(w).concat(g)
+
+
+def stabilized(w: BraidWord) -> BraidWord:
+    """Markov stabilization: same closure on one more strand."""
+    return BraidWord(w.strands + 1, w.letters + (w.strands,))
+
+
+def destabilized(w: BraidWord) -> BraidWord:
+    """Markov destabilization.
+
+    Requires sigma_{n-1}^{+-1} to occur exactly once; rotates the word
+    cyclically (a conjugation, harmless to the closure) to bring that letter
+    last, deletes it, and drops to n-1 strands.
+    """
+    top = w.strands - 1
+    if top < 1:
+        raise ValueError("cannot destabilize a 1-strand braid")
+    hits = [i for i, e in enumerate(w.letters) if abs(e) == top]
+    if len(hits) != 1:
+        raise ValueError(f"sigma_{top} must occur exactly once, found {len(hits)} occurrences")
+    i = hits[0]
+    return BraidWord(w.strands - 1, w.letters[i + 1 :] + w.letters[:i])
+
+
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -324,7 +373,7 @@ def starting_set(f: Permutation) -> frozenset[int]:
 
 def finishing_set(f: Permutation) -> frozenset[int]:
     """Generators that right-divide the permutation braid f."""
-    return frozenset(_descents(f.inverse().images))
+    return frozenset(_descents(permutation_inverse(f).images))
 
 
 def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:

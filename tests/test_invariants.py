@@ -1,4 +1,8 @@
 import random
+import sys
+import threading
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from _oracles import (
     brute_jones,
     bucket_jones,
     burau_product,
+    conjugated_by,
     determinant,
     divide_exact,
     evaluate,
@@ -18,6 +23,7 @@ from _oracles import (
     reduced_burau,
     relation_closure,
     shifted,
+    stabilized,
     torus_alexander_closed_form,
     torus_jones_closed_form,
 )
@@ -28,6 +34,7 @@ from tlinks.invariants import (
     Closure,
     _alexander_columns,
     _braid_index,
+    _closure_loops,
     alexander,
     bundle,
     euler_char,
@@ -348,6 +355,112 @@ def test_jones_of_words_that_cancel_to_nothing():
             assert jones(w) == expected == bucket_jones(w), w
 
 
+def table_words():
+    """Fixed signed words on 2-9 strands: per n, the alternating
+    sigma_1 sigma_2^-1 sigma_3 ... twice, which closure_pieces leaves whole,
+    and three seeded words of 8-16 letters."""
+    rng = random.Random(22)
+    out = []
+    for n in range(2, 10):
+        out.append(BraidWord(n, tuple(g if g % 2 else -g for g in range(1, n)) * 2))
+        for _ in range(3):
+            length = rng.randint(8, 16)
+            out.append(BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))))
+    return out
+
+
+def test_jones_is_independent_of_move_table_order(monkeypatch):
+    # the move tables number matchings in the order first met, so the two
+    # passes number them differently; the buckets are exact integers, so the
+    # values agree
+    ws = table_words()
+    monkeypatch.setattr(invariants, "_move_tables", {})
+    forward = [jones(w) for w in ws]
+    forward_tables = invariants._move_tables
+    monkeypatch.setattr(invariants, "_move_tables", {})
+    backward = [jones(w) for w in reversed(ws)][::-1]
+    assert forward == backward == [bucket_jones(w) for w in ws]
+    assert any(
+        forward_tables[n].matchings != table.matchings for n, table in invariants._move_tables.items()
+    )
+
+
+def _crossing_free(m):
+    """The matching m of n top and n frontier points pairs every point and
+    no two of its arcs cross, read round the rectangle's boundary: top
+    points left to right, then frontier points right to left."""
+    n = len(m) // 2
+    if any(m[m[p]] != p or m[p] == p for p in range(2 * n)):
+        return False
+    at = [p if p < n else 3 * n - 1 - p for p in range(2 * n)]
+    arcs = [sorted((at[p], at[m[p]])) for p in range(2 * n) if p < m[p]]
+    return not any(a < c < b < d for a, b in arcs for c, d in arcs)
+
+
+def check_move_table(table):
+    n, size = table.n, len(table.matchings)
+    assert size <= comb(2 * n, n) // (n + 1)  # Catalan(n)
+    assert all(_crossing_free(m) for m in table.matchings)
+    assert table.ids == {m: s for s, m in enumerate(table.matchings)}
+    assert table.loops == [_closure_loops(m, n) for m in table.matchings]
+    assert len(table.moves) == n and not table.moves[0]
+    for move in table.moves[1:]:
+        assert len(move) == size
+        assert all(t is None or -1 <= t < size for t in move)
+
+
+def test_move_tables_are_bounded(monkeypatch):
+    monkeypatch.setattr(invariants, "_move_tables", {})
+    for w in table_words():
+        jones(w)
+    # a piece on more strands than the tables keep builds a table of its own
+    wide = BraidWord(10, tuple(range(1, 10)) * 2)
+    assert closure_pieces(wide) == (wide,)
+    assert jones(wide) == bucket_jones(wide)
+    assert sorted(invariants._move_tables) == list(range(2, 10))
+    for table in invariants._move_tables.values():
+        check_move_table(table)
+
+
+def test_move_tables_shared_by_threads(monkeypatch):
+    # more threads than cores, switching often, all numbering matchings in
+    # the same cold tables, and a loop count that sleeps, so that numberings
+    # would interleave without the table's lock; a lost or doubled id shows
+    # as a wrong value or as a table that is not a numbering.  The threads
+    # call _state_sum directly: before Python 3.12, cached_property holds one
+    # lock for every Closure.jones, which keeps them apart anyway
+    ws = [w for w in table_words() if w.strands >= 6]
+    expected = [bucket_jones(w) for w in ws]
+
+    def sleeping_loops(m, n):
+        time.sleep(1e-4)
+        return _closure_loops(m, n)
+
+    monkeypatch.setattr(invariants, "_closure_loops", sleeping_loops)
+    for _ in range(2):
+        monkeypatch.setattr(invariants, "_move_tables", {})
+        results: list[list] = [[] for _ in range(6)]
+
+        def run(k):
+            results[k].extend(invariants._state_sum(w) for w in ws[k:] + ws[:k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, out in enumerate(results):
+            assert out == expected[k:] + expected[:k]
+        for table in invariants._move_tables.values():
+            check_move_table(table)
+
+
 @settings(max_examples=150, deadline=None)
 @given(words(max_strands=6, max_letters=12))
 def test_jones_reduction_matches_bucket_oracle(w):
@@ -618,8 +731,8 @@ def test_torus_reference_examples():
 @given(words(), words(max_letters=4))
 def test_alexander_jones_markov_invariance(w, g):
     g = BraidWord(w.strands, tuple(e for e in g.letters if abs(e) < w.strands))
-    conj = w.conjugated_by(g)
-    stab = w.stabilized()
+    conj = conjugated_by(w, g)
+    stab = stabilized(w)
     alex = alexander(w)
     assert alexander(conj) == alex
     assert alexander(stab) == alex
