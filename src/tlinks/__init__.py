@@ -1,13 +1,13 @@
 """Exact computational toolkit for T-links (Lorenz links).
 
-Braid words and Markov moves, Garside normal form, invariant bundles with
-the full-twist braid index criterion and exact Alexander and Jones
-polynomials, the torus-link classifier for T-links obtained by full twists
-along torus links, and an independent certification oracle that eliminates
-torus candidates by invariant comparison.
+Braid words and the reduction of their closures, Garside normal form,
+invariant bundles with the full-twist braid index criterion and exact
+Alexander and Jones polynomials, the torus-link classifier for T-links
+obtained by full twists along torus links, and an independent certification
+oracle that eliminates torus candidates by invariant comparison.
 """
 
-from .braid import BraidWord, LetterStats, Permutation, braid_text, parse_braid_text, torus_braid
+from .braid import BraidWord, Permutation, braid_text, parse_braid_text
 from .classify import (
     DEFERRED_TO_LEE,
     EXCEPTIONAL_FAMILY,
@@ -15,16 +15,14 @@ from .classify import (
     NOT_TORUS_LINK,
     Verdict,
     classify_form,
-    classify_pairs,
     classify_spec,
 )
-from .garside import NormalForm, delta_word, infimum, normal_form
+from .garside import NormalForm, infimum, normal_form
 from .invariants import (
     DEFAULT_JONES_GUARD,
     InvariantBundle,
     alexander,
     bundle,
-    euler_char,
     jones,
     syllable_closure,
     torus_reference,
@@ -36,7 +34,6 @@ from .oracle import (
     TORUS_MATCH,
     Certificate,
     SweepReport,
-    candidate_torus_params,
     certify,
     cross_validate,
     enumerate_forms,
@@ -53,7 +50,6 @@ from .tlink import (
     presentation,
     reduce_tlink,
     render_tlink,
-    standard_braid,
     to_full_twist_form,
 )
 

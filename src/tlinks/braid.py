@@ -39,10 +39,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
@@ -68,12 +64,6 @@ class Permutation:
 
     def cycle_count(self) -> int:
         return len(self.cycles())
-
-
-class LetterStats(NamedTuple):
-    positive: int
-    negative: int
-    exponent_sum: int
 
 
 @dataclass(frozen=True)
@@ -109,11 +99,6 @@ class BraidWord:
     def is_positive(self) -> bool:
         return not self.letters or min(self.letters) > 0
 
-    def letter_stats(self) -> LetterStats:
-        pos = sum(1 for e in self.letters if e > 0)
-        neg = len(self.letters) - pos
-        return LetterStats(pos, neg, sum(1 if e > 0 else -1 for e in self.letters))
-
     def permutation(self) -> Permutation:
         """Bottom-position labelling: images[j-1] = top strand arriving at slot j."""
         labels = list(range(1, self.strands + 1))
@@ -125,11 +110,6 @@ class BraidWord:
     def component_count(self) -> int:
         """Number of link components of the closure."""
         return self.permutation().cycle_count()
-
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if other.strands != self.strands:
-            raise ValueError("strand counts differ")
-        return BraidWord(self.strands, self.letters + other.letters)
 
     def __str__(self) -> str:
         return braid_text(self)
@@ -262,13 +242,6 @@ class Presentation(NamedTuple):
     def word(self) -> BraidWord:
         """The braid written out letter by letter."""
         return BraidWord(self.strands, self.prefix + syllables([(self.strands, self.exponent)]))
-
-
-def torus_braid(p: int, q: int) -> BraidWord:
-    """The standard braid (sigma_1...sigma_{q-1})^p of T(p,q) on q strands."""
-    if q < 1 or p < 1:
-        raise ValueError("torus parameters must be positive")
-    return Presentation((), q, p).word()
 
 
 def split_full_twists(w: BraidWord) -> tuple[int, tuple[int, ...]]:

@@ -21,6 +21,7 @@ reports stay auditable against the source theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .tlink import FullTwistForm, TLinkSpec, reduce_tlink
 
@@ -58,7 +59,7 @@ def classify_form(form: FullTwistForm) -> Verdict:
     a_n = form.a_max
     s_1 = form.twist_pairs[0][1]
 
-    g = form.gcd_base()
+    g = gcd(p, q)
     if g > 1:
         return Verdict(NOT_TORUS_LINK, RULE_GCD, f"gcd({p},{q})={g}")
     if q < a_n:
@@ -87,17 +88,6 @@ def classify_form(form: FullTwistForm) -> Verdict:
         None,
         "n=1 single-twist case; settled by the cited twisted-torus-knot classification",
     )
-
-
-def classify_pairs(
-    twist_pairs: tuple[tuple[int, int], ...], base: tuple[int, int]
-) -> Verdict:
-    """Classify raw parameters, reporting constraint violations and non-integers as a verdict."""
-    try:
-        form = FullTwistForm(twist_pairs, base)
-    except (TypeError, ValueError) as exc:
-        return Verdict(INVALID_INPUT, None, str(exc))
-    return classify_form(form)
 
 
 def classify_spec(spec: TLinkSpec) -> Verdict:

@@ -30,7 +30,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -229,20 +228,18 @@ def _csv_cells(row: dict[str, Any]) -> list[Any]:
 def _replacing(path: str, newline: str | None) -> Iterator[TextIO]:
     """A text file that takes the place of path only when the block completes.
 
-    It is written under a temporary name in the directory of the file path
-    resolves to, so the final os.replace is atomic; if the block raises, the
-    temporary file is removed and any file at path is left as it was.  As
-    with a plain open, a symlink at path is written through, and the mode
-    is the umask's, not mkstemp's 0600.
+    It is written under a random name beside the file path resolves to, so
+    the final os.replace is atomic; if the block raises, the temporary file
+    is removed and any file at path is left as it was.  Mode "x" creates the
+    file, never opens one that exists, and, as a plain open does, gives it
+    the mode 0o666 less the umask; and a symlink at path is written through.
     """
     path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
-        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        with fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -71,24 +71,6 @@ class NormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def __str__(self) -> str:
-        parts = []
-        if self.infimum or not self.factors:
-            parts.append(f"D^{self.infimum}")
-        for f in self.factors:
-            parts.append("(" + " ".join(str(i) for i in f.images) + ")")
-        return " . ".join(parts)
-
-
-def delta_word(n: int) -> BraidWord:
-    """The positive half twist (sigma_1)(sigma_2 sigma_1)...(sigma_{n-1}...sigma_1)."""
-    if n < 2:
-        raise ValueError("the half twist needs at least 2 strands")
-    letters = []
-    for k in range(1, n):
-        letters.extend(range(k, 0, -1))
-    return BraidWord(n, tuple(letters))
-
 
 def normal_form(w: BraidWord) -> NormalForm:
     """Left-weighted normal form of a positive word.

@@ -53,7 +53,7 @@ and jones), so the recovery of coefficients is exact, never heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from threading import Lock
 
@@ -417,7 +417,7 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     loop = -1 - (1 << 2 * k)
     packed = sum(v * loop ** (L - 1) << (n - L) * k for L, v in enumerate(by_loops) if v)
 
-    writhe = w.letter_stats().exponent_sum
+    writhe = 2 * sum(e > 0 for e in w.letters) - c
     offset = 4 * writhe - 2 * c - 2 * (n - 1)
     sign = -1 if writhe % 2 else 1
     return LaurentPoly({2 * e + offset: sign * d for e, d in unpack(packed, k, 0).terms()})
@@ -446,14 +446,7 @@ def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD, twists: int = 0) -> La
     return Closure(w, twists, guard).jones
 
 
-# -- Euler characteristic and aggregation --------------------------------------
-
-
-def euler_char(w: BraidWord) -> int:
-    """chi of the Bennequin surface of a positive word: strands - letters."""
-    if not w.is_positive:
-        raise ValueError("Euler characteristic is defined here for positive words")
-    return w.strands - len(w.letters)
+# -- braid index and the lazy closure ------------------------------------------
 
 
 def _braid_index(rest: BraidWord, twists: int) -> int | None:
@@ -493,6 +486,29 @@ def _braid_index(rest: BraidWord, twists: int) -> int | None:
     return None
 
 
+class _first_read:
+    """A field computed on its first read and kept as a plain instance attribute.
+
+    functools.cached_property does the same, but before Python 3.12 it
+    computes under one lock for the whole class, so two threads could never
+    compute the Jones or Alexander polynomials of two closures at once.  This
+    descriptor takes no lock.  It defines only __get__, so once the value is
+    in the instance's __dict__, a read finds it there and __get__ is not
+    called again.  Two threads that read one closure's field at once may
+    both compute it; the engines are exact, so both store the same value.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Closure:
     """Invariants of the closure of Delta^(2 twists) rest, by the field names of InvariantBundle.
 
@@ -514,19 +530,19 @@ class Closure:
         self.euler_char = n - self.letters if positive else None
         self.braid_index = _braid_index(rest, twists) if positive else None
 
-    @cached_property
+    @_first_read
     def pieces(self) -> tuple[BraidWord, ...]:
         """braid.closure_pieces of Delta^(2 twists) rest, the twists written out."""
         n = self.rest.strands
         return closure_pieces(BraidWord(n, tuple(range(1, n)) * (n * self.twists) + self.rest.letters))
 
-    @cached_property
+    @_first_read
     def alexander(self) -> LaurentPoly:
         if self.twists:
             return alexander(self.rest, self.twists)
         return alexander(self.pieces[0]) if len(self.pieces) == 1 else LaurentPoly.zero()
 
-    @cached_property
+    @_first_read
     def jones(self) -> LaurentPoly | None:
         if self.jones_guarded:
             return None

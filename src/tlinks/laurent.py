@@ -45,14 +45,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
-    def t(cls, exp: int = 1) -> "LaurentPoly":
-        return cls({exp: 1})
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -131,7 +123,7 @@ class LaurentPoly:
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
 
 
-def poly_text(p: LaurentPoly, var: str = "t", quarter_exponents: bool = False) -> str:
+def poly_text(p: LaurentPoly, quarter_exponents: bool = False) -> str:
     """Render as "c_k*t^k + ..." with terms in ascending exponent order.
 
     With quarter_exponents=True the stored exponent k denotes t^(k/4); the
@@ -147,11 +139,11 @@ def poly_text(p: LaurentPoly, var: str = "t", quarter_exponents: bool = False) -
                 num //= 2
                 den //= 2
             if den == 1:
-                mon = _monomial(var, num)
+                mon = _monomial(num)
             else:
-                mon = f"{var}^({num}/{den})"
+                mon = f"t^({num}/{den})"
         else:
-            mon = _monomial(var, e)
+            mon = _monomial(e)
         if mon is None:
             term = str(abs(c))
         elif abs(c) == 1:
@@ -165,12 +157,12 @@ def poly_text(p: LaurentPoly, var: str = "t", quarter_exponents: bool = False) -
     return " ".join(pieces)
 
 
-def _monomial(var: str, e: int) -> str | None:
+def _monomial(e: int) -> str | None:
     if e == 0:
         return None
     if e == 1:
-        return var
-    return f"{var}^{e}"
+        return "t"
+    return f"t^{e}"
 
 
 # -- packed integers -----------------------------------------------------------

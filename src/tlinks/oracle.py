@@ -93,14 +93,6 @@ def _chi_candidates(components: int, chi: int) -> tuple[list[tuple[int, int]], l
     return keep, [pq for pq in pairs if gcd(*pq) != components]
 
 
-def candidate_torus_params(b: InvariantBundle) -> list[tuple[int, int]]:
-    """All (p, q), q <= p, passing the component-count and chi filters."""
-    if b.euler_char is None:
-        raise ValueError("candidate enumeration needs a positive-braid bundle")
-    keep, _ = _chi_candidates(b.components, b.euler_char)
-    return keep
-
-
 # the bundle fields a candidate is compared on, in order, and the reason a
 # mismatch records
 _ELIMINATIONS = (

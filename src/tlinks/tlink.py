@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 
 from .braid import BraidWord, Presentation, integer, syllables
 
@@ -116,19 +115,11 @@ class FullTwistForm:
         """The same link as a generic T-link parameter list."""
         return TLinkSpec(tuple((a, s * a) for a, s in self.twist_pairs) + (self.base,))
 
-    def gcd_base(self) -> int:
-        return gcd(self.p, self.q)
-
 
 def standard_presentation(spec: TLinkSpec) -> Presentation:
     """The defining positive braid of the T-link, on r_k strands, as a Presentation."""
     *head, (n, s) = spec.pairs
     return Presentation(syllables(head), n, s)
-
-
-def standard_braid(spec: TLinkSpec) -> BraidWord:
-    """The defining positive braid of the T-link, on r_k strands."""
-    return standard_presentation(spec).word()
 
 
 def to_full_twist_form(spec: TLinkSpec) -> FullTwistForm | None:

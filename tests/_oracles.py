@@ -16,11 +16,14 @@ CSV table flattened from the list of every row's dict.
 
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
-helpers, the braid-word moves that only the tests make (product, inverse,
-conjugation, Markov stabilization and destabilization), and reduced_burau and determinant, which read the library's packed
-engines (invariants._packed_columns, laurent.packed_determinant) back as
-polynomial matrices so that the tests can compare those engines with the
-oracles.  They are views of the engines under test, not independent checks.
+helpers, the braid words that only the tests build (torus braids, standard
+braids of T-links, half twists) and count (letter_stats), the braid-word
+moves that only the tests make (product, inverse, conjugation, Markov
+stabilization and destabilization), and reduced_burau and determinant,
+which read the library's packed engines (invariants._packed_columns,
+laurent.packed_determinant) back as polynomial matrices so that the tests
+can compare those engines with the oracles.  They are views of the engines
+under test, not independent checks.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from itertools import permutations, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from tlinks.braid import BraidWord, Permutation
+from tlinks.braid import BraidWord, Permutation, Presentation
 from tlinks.cli import _CSV_FIELDS, report_row
 from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
 from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
 from tlinks.oracle import SweepReport
+from tlinks.tlink import TLinkSpec, standard_presentation
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
 
@@ -191,7 +195,7 @@ def brute_jones(w: BraidWord) -> LaurentPoly:
         for c in range(n):
             _union(parent, cur[c], c)
         loops = len({_find(parent, x) for x in parent})
-        total = total + LaurentPoly.t(a_exp) * poly_pow(_DELTA_A, loops - 1)
+        total = total + t_power(a_exp) * poly_pow(_DELTA_A, loops - 1)
     writhe = sum(1 if e > 0 else -1 for e in letters)
     f = shifted(total, -3 * writhe)
     if writhe % 2:
@@ -256,7 +260,7 @@ def burau_product(w: BraidWord) -> PolyMatrix:
     out = identity_matrix(m)
     for letter in w.letters:
         c = abs(letter) - 1
-        t = LaurentPoly.t(1 if letter > 0 else -1)
+        t = t_power(1 if letter > 0 else -1)
         column = (t, -t, LaurentPoly.one()) if letter > 0 else (LaurentPoly.one(), -t, t)
         rows = [list(row) for row in identity_matrix(m).entries]
         for r, entry in zip((c - 1, c, c + 1), column):
@@ -283,10 +287,10 @@ def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:
     """Unit-normalized (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)), gcd(p,q) = 1."""
     if gcd(p, q) != 1:
         raise ValueError("closed form applies to coprime parameters only")
-    minus_one = LaurentPoly.term(-1, 0)
-    numerator = (LaurentPoly.t(p * q) + minus_one) * (LaurentPoly.t(1) + minus_one)
-    quotient = divide_exact(numerator, LaurentPoly.t(p) + minus_one)
-    quotient = divide_exact(quotient, LaurentPoly.t(q) + minus_one)
+    minus_one = LaurentPoly({0: -1})
+    numerator = (t_power(p * q) + minus_one) * (t_power(1) + minus_one)
+    quotient = divide_exact(numerator, t_power(p) + minus_one)
+    quotient = divide_exact(quotient, t_power(q) + minus_one)
     return quotient.unit_normalized()
 
 
@@ -297,7 +301,7 @@ def torus_jones_closed_form(p: int, q: int) -> LaurentPoly:
     """
     if gcd(p, q) != 1:
         raise ValueError("closed form applies to coprime parameters only")
-    t = LaurentPoly.t
+    t = t_power
     numerator = LaurentPoly.one() - t(p + 1) - t(q + 1) + t(p + q)
     v = shifted(divide_exact(numerator, LaurentPoly.one() - t(2)), (p - 1) * (q - 1) // 2)
     return LaurentPoly({4 * e: c for e, c in v.terms()})
@@ -314,12 +318,51 @@ def permutation_inverse(f: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+# -- braid words only the tests build, and their letter counts ----------------
+
+
+def torus_braid(p: int, q: int) -> BraidWord:
+    """The standard braid (sigma_1...sigma_{q-1})^p of T(p,q) on q strands, written out."""
+    if q < 1 or p < 1:
+        raise ValueError("torus parameters must be positive")
+    return Presentation((), q, p).word()
+
+
+def standard_braid(spec: TLinkSpec) -> BraidWord:
+    """The defining positive braid of the T-link, on r_k strands, written out."""
+    return standard_presentation(spec).word()
+
+
+def delta_word(n: int) -> BraidWord:
+    """The positive half twist (sigma_1)(sigma_2 sigma_1)...(sigma_{n-1}...sigma_1)."""
+    if n < 2:
+        raise ValueError("the half twist needs at least 2 strands")
+    letters = []
+    for k in range(1, n):
+        letters.extend(range(k, 0, -1))
+    return BraidWord(n, tuple(letters))
+
+
+def letter_stats(w: BraidWord) -> tuple[int, int, int]:
+    """(positive letters, negative letters, exponent sum) of w."""
+    pos = sum(1 for e in w.letters if e > 0)
+    neg = len(w.letters) - pos
+    return pos, neg, pos - neg
+
+
+def t_power(exp: int) -> LaurentPoly:
+    """The monomial t^exp."""
+    return LaurentPoly({exp: 1})
+
+
 # -- braid-word moves only the tests make --------------------------------------
 
 
 def word_product(a: BraidWord, b: BraidWord) -> BraidWord:
     """a * b: the letters of a, then those of b."""
-    return a.concat(b)
+    if a.strands != b.strands:
+        raise ValueError("strand counts differ")
+    return BraidWord(a.strands, a.letters + b.letters)
 
 
 def word_inverse(w: BraidWord) -> BraidWord:
@@ -330,7 +373,7 @@ def conjugated_by(w: BraidWord, g: BraidWord) -> BraidWord:
     """g^-1 * w * g; the closure's link type is unchanged."""
     if g.strands != w.strands:
         raise ValueError("strand counts differ")
-    return word_inverse(g).concat(w).concat(g)
+    return word_product(word_product(word_inverse(g), w), g)
 
 
 def stabilized(w: BraidWord) -> BraidWord:
@@ -491,7 +534,7 @@ def reduced_burau(w: BraidWord) -> PolyMatrix:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
     m = w.strands - 1
     k = _column_bound(m, w.letters).bit_length() + 1
-    neg = w.letter_stats().negative
+    _, neg, _ = letter_stats(w)
     cols = _packed_columns(m, w.letters, k, neg)
     return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(m))
 

@@ -9,11 +9,11 @@ import time
 from itertools import product
 from math import gcd
 
-from _oracles import relation_closure, torus_alexander_closed_form
-from tlinks.braid import BraidWord, split_full_twists, torus_braid
+from _oracles import relation_closure, standard_braid, torus_alexander_closed_form, torus_braid
+from tlinks.braid import BraidWord, split_full_twists
 from tlinks.classify import EXCEPTIONAL_FAMILY, NOT_TORUS_LINK, classify_form, classify_spec
 from tlinks.garside import normal_form
-from tlinks.invariants import alexander, bundle, euler_char, jones
+from tlinks.invariants import alexander, bundle, closure, jones
 from tlinks.laurent import LaurentPoly
 from tlinks.oracle import NOT_TORUS, TORUS_MATCH, certify, cross_validate, enumerate_forms
 from tlinks.tlink import (
@@ -22,7 +22,6 @@ from tlinks.tlink import (
     absorb_strands,
     flip_base,
     markov_reduce,
-    standard_braid,
 )
 
 
@@ -58,11 +57,11 @@ def test_criterion_absorption_trace_validity():
         first = steps[0]
         base_alex = alexander(first)
         base_components = first.component_count()
-        base_chi = euler_char(first)
+        base_chi = closure(first).euler_char
         for j, step in enumerate(steps):
             assert step.strands == form.p - j
             assert len(step.letters) == len(first.letters) - j
-            assert euler_char(step) == base_chi
+            assert closure(step).euler_char == base_chi
             assert step.component_count() == base_components
             assert alexander(step) == base_alex
         assert split_full_twists(steps[-1])[0] >= 1
@@ -121,7 +120,7 @@ def test_criterion_known_values():
                 assert alexander(torus_braid(p, q)) == torus_alexander_closed_form(p, q)
     for p in range(2, 10):
         for q in range(2, p + 1):
-            assert euler_char(torus_braid(p, q)) == p + q - p * q
+            assert closure(torus_braid(p, q)).euler_char == p + q - p * q
     _report("known values (Alexander closed form, Euler characteristic)", start, 60)
 
 

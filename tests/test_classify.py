@@ -1,4 +1,7 @@
+import re
 from math import gcd
+
+import pytest
 
 from tlinks.classify import (
     DEFERRED_TO_LEE,
@@ -6,7 +9,6 @@ from tlinks.classify import (
     INVALID_INPUT,
     NOT_TORUS_LINK,
     classify_form,
-    classify_pairs,
     classify_spec,
 )
 from tlinks.oracle import enumerate_forms
@@ -51,12 +53,15 @@ def test_single_twist_branches():
 
 
 def test_classify_pairs_reports_invalid():
-    v = classify_pairs(((2, 1),), (5, 2))  # a_1 = q
-    assert v.kind == INVALID_INPUT
-    v = classify_pairs(((6, 1),), (5, 3))  # a_n >= p
-    assert v.kind == INVALID_INPUT
-    v = classify_pairs(((2, 1),), (5.9, 3))  # int() would read p = 5
-    assert (v.kind, v.details) == (INVALID_INPUT, "p must be an integer, got 5.9")
+    # raw parameters are checked by FullTwistForm, which names the broken
+    # constraint; a spec outside the full-twist shape is an InvalidInput verdict
+    with pytest.raises(ValueError, match="^twist strand count equal to q = 2 is not supported$"):
+        FullTwistForm(((2, 1),), (5, 2))  # a_1 = q
+    with pytest.raises(ValueError, match="^twist strand counts must stay below p$"):
+        FullTwistForm(((6, 1),), (5, 3))  # a_n >= p
+    with pytest.raises(TypeError, match=f"^{re.escape('p must be an integer, got 5.9')}$"):
+        FullTwistForm(((2, 1),), (5.9, 3))  # int() would read p = 5
+    assert classify_spec(TLinkSpec(((2, 2), (5, 2)))).kind == INVALID_INPUT  # a_1 = q
 
 
 def test_classify_spec_examples():

@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 import stat
 import weakref
 
 import pytest
-from _oracles import whole_csv_report, whole_json_report
+from _oracles import standard_braid, whole_csv_report, whole_json_report
 
 from tlinks import cli, invariants, oracle
 from tlinks.braid import braid_text
@@ -21,7 +22,7 @@ from tlinks.cli import (
 from tlinks.invariants import DEFAULT_JONES_GUARD
 from tlinks.laurent import InexactDivisionError
 from tlinks.oracle import cross_validate
-from tlinks.tlink import parse_tlink, presentation, standard_braid, to_full_twist_form
+from tlinks.tlink import parse_tlink, presentation, to_full_twist_form
 
 
 def run(capsys, *argv):
@@ -367,6 +368,24 @@ def test_reports_land_where_a_plain_open_writes(tmp_path, capsys):
     assert run(capsys, *args)[0] == EXIT_OK
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
     assert link.is_symlink() and target.read_text().startswith("input,pairs,")
+
+
+def test_reports_leave_the_umask_alone(tmp_path, monkeypatch):
+    # setting the process umask, even for a moment, would change the mode of
+    # a file that another thread creates meanwhile; the reports take the
+    # umask's mode from the open that creates them
+    def no_umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) was called")
+
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    monkeypatch.setattr(os, "umask", no_umask)
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    cli.write_reports(oracle.sweep_params(4), oracle.sweep_rows(4), False, str(out), str(table))
+    for path in (out, table):
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert json.loads(out.read_text())["disagreements"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "r.csv", "r.json"]
 
 
 @pytest.mark.parametrize("timings", [False, True])

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from _oracles import (
     _descents,
     _perm_inverse,
+    delta_word,
     factor_words,
     finishing_set,
     fixpoint_normal_form,
     is_identity,
     relation_closure,
+    standard_braid,
     starting_set,
+    torus_braid,
+    word_product,
 )
-from tlinks.braid import BraidWord, Permutation, torus_braid
-from tlinks.garside import delta_word, infimum, normal_form
+from tlinks.braid import BraidWord, Permutation
+from tlinks.garside import infimum, normal_form
 from tlinks.oracle import enumerate_forms
-from tlinks.tlink import standard_braid
 
 
 @st.composite
@@ -55,14 +58,14 @@ def test_normal_form_rejects_negative_letters():
 
 def test_infimum_examples():
     d = delta_word(3)
-    assert infimum(d.concat(d)) == 2
+    assert infimum(word_product(d, d)) == 2
     assert infimum(BraidWord(3, (1,))) == 0
     assert infimum(torus_braid(5, 3)) >= 2  # (s1 s2)^3 is the full twist
 
 
 def test_delta_squared_normal_forms():
     for n in range(2, 7):
-        d2 = delta_word(n).concat(delta_word(n))
+        d2 = word_product(delta_word(n), delta_word(n))
         nf = normal_form(d2)
         assert (nf.infimum, nf.factors) == (2, ())
 
@@ -89,8 +92,8 @@ def test_starting_and_finishing_sets_are_descent_sets():
 @settings(max_examples=80, deadline=None)
 @given(positive_words(max_strands=4, max_letters=8))
 def test_prepending_full_twist_shifts_infimum(w):
-    d2 = delta_word(w.strands).concat(delta_word(w.strands))
-    assert infimum(d2.concat(w)) == infimum(w) + 2
+    d2 = word_product(delta_word(w.strands), delta_word(w.strands))
+    assert infimum(word_product(d2, w)) == infimum(w) + 2
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,6 +14,7 @@ from _oracles import (
     bucket_jones,
     burau_product,
     conjugated_by,
+    delta_word,
     determinant,
     divide_exact,
     evaluate,
@@ -24,12 +25,15 @@ from _oracles import (
     relation_closure,
     shifted,
     stabilized,
+    t_power,
     torus_alexander_closed_form,
+    torus_braid,
     torus_jones_closed_form,
+    word_product,
 )
 from tlinks import invariants
-from tlinks.braid import BraidWord, closure_pieces, split_full_twists, torus_braid
-from tlinks.garside import delta_word, infimum
+from tlinks.braid import BraidWord, closure_pieces, split_full_twists
+from tlinks.garside import infimum
 from tlinks.invariants import (
     Closure,
     _alexander_columns,
@@ -37,7 +41,7 @@ from tlinks.invariants import (
     _closure_loops,
     alexander,
     bundle,
-    euler_char,
+    closure,
     jones,
     torus_reference,
 )
@@ -62,8 +66,8 @@ def words(draw, max_strands=4, max_letters=12):
 
 def test_reduced_burau_examples():
     assert reduced_burau(BraidWord(4, ())) == identity_matrix(3)
-    assert reduced_burau(UNKNOT).entries[0][0] == LaurentPoly.term(-1, 1)
-    assert reduced_burau(TREFOIL).entries[0][0] == LaurentPoly.term(-1, 3)
+    assert reduced_burau(UNKNOT).entries[0][0] == LaurentPoly({1: -1})
+    assert reduced_burau(TREFOIL).entries[0][0] == LaurentPoly({3: -1})
 
 
 def test_reduced_burau_is_a_representation():
@@ -151,7 +155,7 @@ def test_full_twist_burau_is_scalar():
     for n in range(2, 10):
         m = n - 1
         scalar = PolyMatrix.from_rows(
-            [LaurentPoly.t(n) if r == c else LaurentPoly.zero() for c in range(m)] for r in range(m)
+            [t_power(n) if r == c else LaurentPoly.zero() for c in range(m)] for r in range(m)
         )
         w = BraidWord(n, full_twist(n))
         assert split_full_twists(w) == (1, ())
@@ -199,7 +203,7 @@ def test_split_determinant_matches_burau_minus_identity(w, twists, rng):
     for h in range(len(rest) + 1):
         first, second = rest[:h], rest[h:]
         exponent_sum = sum(1 if x > 0 else -1 for x in second)
-        unit = LaurentPoly.term((-1) ** (exponent_sum % 2), exponent_sum)
+        unit = LaurentPoly({exponent_sum: (-1) ** (exponent_sum % 2)})
         assert leibniz_determinant(split_matrix(n, j, first, second)) * unit == whole
 
 
@@ -427,8 +431,7 @@ def test_move_tables_shared_by_threads(monkeypatch):
     # the same cold tables, and a loop count that sleeps, so that numberings
     # would interleave without the table's lock; a lost or doubled id shows
     # as a wrong value or as a table that is not a numbering.  The threads
-    # call _state_sum directly: before Python 3.12, cached_property holds one
-    # lock for every Closure.jones, which keeps them apart anyway
+    # call _state_sum directly, so that only the tables are shared
     ws = [w for w in table_words() if w.strands >= 6]
     expected = [bucket_jones(w) for w in ws]
 
@@ -459,6 +462,41 @@ def test_move_tables_shared_by_threads(monkeypatch):
             assert out == expected[k:] + expected[:k]
         for table in invariants._move_tables.values():
             check_move_table(table)
+
+
+@pytest.mark.parametrize("field, engine", [("jones", "_state_sum"), ("alexander", "alexander")])
+def test_closures_compute_in_threads_at_once(monkeypatch, field, engine):
+    # two threads each read the field of their own closure, whose word is one
+    # piece, so the engine runs once per thread; each run waits for the
+    # other's to start, so a lock that kept the two reads apart would leave
+    # the first waiting alone until the barrier breaks
+    ws = [TREFOIL, BraidWord(3, (1, 2, 1, 2))]
+    expected = [getattr(closure(w), field) for w in ws]
+    barrier = threading.Barrier(2, timeout=20)
+    real = getattr(invariants, engine)
+
+    def meeting(*args):
+        barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(invariants, engine, meeting)
+    closures = [closure(w) for w in ws]
+    values, errors = [None, None], []
+
+    def read(k):
+        try:
+            values[k] = getattr(closures[k], field)
+        except threading.BrokenBarrierError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert values == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -514,18 +552,17 @@ def test_jones_at_one():
 
 
 def test_euler_char():
-    assert euler_char(torus_braid(3, 2)) == -1  # 2 + 3 - 6
-    assert euler_char(BraidWord(1, ())) == 1
+    assert closure(torus_braid(3, 2)).euler_char == -1  # 2 + 3 - 6
+    assert closure(BraidWord(1, ())).euler_char == 1
     for p in range(2, 10):
         for q in range(2, p + 1):
-            assert euler_char(torus_braid(p, q)) == p + q - p * q
-    with pytest.raises(ValueError):
-        euler_char(BraidWord(2, (-1,)))
+            assert closure(torus_braid(p, q)).euler_char == p + q - p * q
+    assert closure(BraidWord(2, (-1,))).euler_char is None  # defined for positive words only
 
 
 def test_euler_char_constant_along_trace():
     steps = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))
-    values = {euler_char(s) for s in steps}
+    values = {closure(s).euler_char for s in steps}
     assert values == {-9}
 
 
@@ -572,7 +609,7 @@ def test_braid_index_agrees_with_infimum():
             words.append(BraidWord(n, tuple(letters)))
     # full twists hidden by braid relations
     words.append(BraidWord(3, (2, 1, 2, 1, 2, 1)))
-    words += [delta_word(n).concat(delta_word(n)) for n in range(2, 7)]
+    words += [word_product(delta_word(n), delta_word(n)) for n in range(2, 7)]
     # random positive words, full twists rare
     for _ in range(200):
         n = rng.randint(2, 5)

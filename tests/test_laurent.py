@@ -11,10 +11,11 @@ from _oracles import (
     leibniz_determinant,
     matmul,
     poly_pow,
+    t_power,
 )
 from tlinks.laurent import InexactDivisionError, LaurentPoly, divide_by_strand_sum, poly_text
 
-T = LaurentPoly.t
+T = t_power
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
 

@@ -9,8 +9,13 @@ import pytest
 import tlinks.braid as braid
 import tlinks.invariants as invariants
 import tlinks.oracle as oracle
-from _oracles import enumerate_torus_candidates, torus_alexander_closed_form
-from tlinks.braid import BraidWord, torus_braid
+from _oracles import (
+    enumerate_torus_candidates,
+    standard_braid,
+    torus_alexander_closed_form,
+    torus_braid,
+)
+from tlinks.braid import BraidWord
 from tlinks.invariants import alexander, bundle, torus_reference
 from tlinks.oracle import (
     INCONCLUSIVE,
@@ -20,30 +25,35 @@ from tlinks.oracle import (
     REASON_COMPONENTS,
     REASON_MATCHED,
     TORUS_MATCH,
-    candidate_torus_params,
+    _chi_candidates,
     certify,
     certify_bundle,
     cross_validate,
     enumerate_forms,
 )
-from tlinks.tlink import FullTwistForm, absorb_strands, presentation, standard_braid
+from tlinks.tlink import FullTwistForm, absorb_strands, presentation
+
+
+def candidates(b):
+    """The (p, q), q <= p, that pass the component-count and chi filters."""
+    return _chi_candidates(b.components, b.euler_char)[0]
 
 
 def test_candidate_examples():
     b = bundle(torus_braid(3, 2))
-    assert candidate_torus_params(b) == [(3, 2)]
+    assert candidates(b) == [(3, 2)]
     # components 1, chi = -9: enumeration gives (11,2) and (6,3); gcd drops (6,3)
     rewritten = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1]
-    assert candidate_torus_params(bundle(rewritten)) == [(11, 2)]
+    assert candidates(bundle(rewritten)) == [(11, 2)]
     # components 2, chi = 0
     b22 = bundle(torus_braid(2, 2))
-    assert candidate_torus_params(b22) == [(2, 2)]
+    assert candidates(b22) == [(2, 2)]
 
 
 def test_candidates_match_enumeration_oracle():
     for w in [torus_braid(5, 3), torus_braid(7, 2), torus_braid(6, 4), BraidWord(3, (1, 1, 2))]:
         b = bundle(w)
-        assert candidate_torus_params(b) == enumerate_torus_candidates(
+        assert candidates(b) == enumerate_torus_candidates(
             b.components, b.euler_char
         )
 
@@ -99,13 +109,17 @@ def test_torus_references_compute_invariants_on_demand(monkeypatch):
 
 
 def test_torus_reference_builds_no_braid(monkeypatch):
-    def no_braid(p, q):
-        raise AssertionError(f"torus braid ({p}, {q}) was built")
+    # the torus braid is (sigma_1 sigma_2)^7 on 3 strands; only what is left
+    # of its syllable once the full twists are split off is written out
+    word = braid.Presentation.word
+
+    def no_twist_written(p):
+        if p.exponent >= p.strands:
+            raise AssertionError(f"a full twist of {p} was written")
+        return word(p)
 
     torus_reference.cache_clear()
-    # both the braid module's function and any binding invariants might import
-    monkeypatch.setattr(braid, "torus_braid", no_braid)
-    monkeypatch.setattr(invariants, "torus_braid", no_braid, raising=False)
+    monkeypatch.setattr(braid.Presentation, "word", no_twist_written)
     ref = torus_reference(7, 3)
     monkeypatch.undo()
     b = bundle(torus_braid(7, 3))

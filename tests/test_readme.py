@@ -1,6 +1,13 @@
 import contextlib
+import importlib
+import inspect
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import tlinks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +31,53 @@ def test_readme_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+# what `import tlinks` gives, submodules aside: the names the pipeline, the
+# command line, the README example and the benchmark use
+PUBLIC = [
+    "BraidWord", "Certificate", "DEFAULT_JONES_GUARD", "DEFERRED_TO_LEE", "EXCEPTIONAL_FAMILY",
+    "FullTwistForm", "INCONCLUSIVE", "INVALID_INPUT", "InvariantBundle", "LaurentPoly",
+    "NOT_TORUS", "NOT_TORUS_LINK", "NormalForm", "Permutation", "SweepReport", "TLinkParseError",
+    "TLinkSpec", "TORUS_MATCH", "Verdict", "absorb_strands", "alexander", "braid_text", "bundle",
+    "certify", "classify_form", "classify_spec", "cross_validate", "enumerate_forms", "flip_base",
+    "infimum", "jones", "markov_reduce", "normal_form", "parse_braid_text", "parse_tlink",
+    "poly_text", "presentation", "reduce_tlink", "render_tlink", "sweep_rows", "syllable_closure",
+    "to_full_twist_form", "torus_reference",
+]
+
+# names deleted because nothing in the package, the command line, the README
+# example or the benchmark called them, by the module or class that held
+# them; those the tests still use are functions in tests/_oracles.py
+REMOVED = {
+    "braid": ["LetterStats", "torus_braid"],
+    "braid.Permutation": ["identity"],
+    "braid.BraidWord": ["concat", "letter_stats"],
+    "classify": ["classify_pairs"],
+    "garside": ["delta_word"],
+    "garside.NormalForm": ["__str__"],
+    "invariants": ["euler_char"],
+    "laurent.LaurentPoly": ["t", "term"],
+    "oracle": ["candidate_torus_params"],
+    "tlink": ["standard_braid"],
+    "tlink.FullTwistForm": ["gcd_base"],
+}
+
+
+def test_public_surface():
+    # a fresh interpreter, so that only the package's own imports count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import inspect, tlinks; print(' '.join(sorted(name for name, value in vars(tlinks).items()"
+        " if not name.startswith('_') and not inspect.ismodule(value))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == sorted(PUBLIC)
+    for where, names in REMOVED.items():
+        module, _, cls = where.partition(".")
+        holder = importlib.import_module(f"tlinks.{module}")
+        holder = getattr(holder, cls) if cls else holder
+        assert not set(names) & set(vars(holder)), where
+    assert list(inspect.signature(tlinks.poly_text).parameters) == ["p", "quarter_exponents"]

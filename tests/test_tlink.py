@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import destabilized
+from _oracles import destabilized, standard_braid
 from tlinks.braid import BraidWord, split_full_twists
-from tlinks.invariants import alexander, euler_char, syllable_closure
+from tlinks.invariants import alexander, closure, syllable_closure
 from tlinks.oracle import enumerate_forms
 from tlinks.tlink import (
     FullTwistForm,
@@ -19,7 +19,6 @@ from tlinks.tlink import (
     presentation,
     reduce_tlink,
     render_tlink,
-    standard_braid,
     standard_presentation,
     to_full_twist_form,
 )
@@ -108,7 +107,7 @@ def test_absorb_strands_trace():
     assert [s.strands for s in steps] == [5, 4, 3]
     assert steps[-1].letters == (2, 2) + (1, 2) * 5
     # one crossing absorbed per strand, so chi is constant along the steps
-    assert len({euler_char(s) for s in steps}) == 1
+    assert len({closure(s).euler_char for s in steps}) == 1
     assert len({s.component_count() for s in steps}) == 1
     assert len({alexander(s) for s in steps}) == 1
     with pytest.raises(ValueError):
