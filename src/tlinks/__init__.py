@@ -1,7 +1,7 @@
 """Exact computational toolkit for T-links (Lorenz links).
 
 Braid words and the reduction of their closures, Garside normal form,
-invariant bundles with the full-twist braid index criterion and exact
+closure invariants with the full-twist braid index criterion and exact
 Alexander and Jones polynomials, the torus-link classifier for T-links
 obtained by full twists along torus links, and an independent certification
 oracle that eliminates torus candidates by invariant comparison.
@@ -20,7 +20,6 @@ from .classify import (
 from .garside import NormalForm, infimum, normal_form
 from .invariants import (
     DEFAULT_JONES_GUARD,
-    InvariantBundle,
     alexander,
     bundle,
     jones,

@@ -37,7 +37,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .braid import braid_text, parse_braid_text
 from .classify import classify_spec
-from .invariants import DEFAULT_JONES_GUARD, Closure, InvariantBundle, closure, syllable_closure
+from .invariants import DEFAULT_JONES_GUARD, Closure, closure, syllable_closure
 from .laurent import InexactDivisionError, poly_text
 from .oracle import Certificate, SweepReport, SweepRow, certify_bundle, sweep_params, sweep_rows
 from .tlink import (
@@ -111,7 +111,7 @@ def _check_size(strands: int, letters: int) -> None:
         raise _UsageError(f"{letters} letters is more than the limit of {MAX_LETTERS}")
 
 
-def _print_bundle(b: InvariantBundle) -> None:
+def _print_bundle(b: Closure) -> None:
     print(f"components:  {b.components}")
     print(f"letters:     {b.letters}")
     print(f"euler char:  {b.euler_char if b.euler_char is not None else 'n/a (negative letters)'}")
@@ -150,11 +150,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    print(certify_bundle(_input_closure(args.input, args.jones_guard), args.jones_guard))
+    print(certify_bundle(_input_closure(args.input, args.jones_guard)))
     return EXIT_OK
 
 
-def _bundle_dict(b: InvariantBundle) -> dict[str, Any]:
+def _bundle_dict(b: Closure) -> dict[str, Any]:
     return {
         "components": b.components,
         "letters": b.letters,
@@ -233,14 +233,20 @@ def _replacing(path: str, newline: str | None) -> Iterator[TextIO]:
     is removed and any file at path is left as it was.  Mode "x" creates the
     file, never opens one that exists, and, as a plain open does, gives it
     the mode 0o666 less the umask; and a symlink at path is written through.
+    A temporary file that cannot be created (its directory is missing, not
+    writable or not a directory) is a usage error naming path, raised before
+    the block runs.
     """
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise _UsageError(f"cannot write a report to {path}") from exc
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -300,10 +306,12 @@ def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> N
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # a report path that cannot be written fails now, not after the sweep
+    # a report path that cannot be written fails before the first row: a
+    # directory here, whose temporary file would open but never replace it,
+    # and any other when write_reports opens its temporary file (_replacing)
     paths = [path for path in (args.out, args.csv) if path]
     for path in paths:
-        if os.path.isdir(path) or not os.access(os.path.dirname(os.path.realpath(path)), os.W_OK):
+        if os.path.isdir(path):
             raise _UsageError(f"cannot write a report to {path}")
     if len(paths) == 2 and os.path.realpath(args.out) == os.path.realpath(args.csv):
         raise _UsageError(f"--out and --csv name the same file {args.out}")
@@ -311,8 +319,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     certificates: Counter[str] = Counter()
     contradictions: list[str] = []
 
-    def tallied(rows: Iterable[SweepRow]) -> Iterator[SweepRow]:
-        for row in rows:
+    def tallied() -> Iterator[SweepRow]:
+        for row in sweep_rows(*bounds, jobs=args.jobs):
             verdicts[row.verdict.kind] += 1
             certificates[row.certificate.kind] += 1
             if row.contradiction:
@@ -321,8 +329,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     bounds = (args.max_p, args.max_n, args.max_s, args.max_a, args.jones_guard)
     start = time.perf_counter()
-    rows = tallied(sweep_rows(*bounds, jobs=args.jobs))
-    write_reports(sweep_params(*bounds), rows, args.timings, args.out, args.csv)
+    # the generator starts the sweep on its first row, after the reports open
+    write_reports(sweep_params(*bounds), tallied(), args.timings, args.out, args.csv)
     elapsed = time.perf_counter() - start
     print(f"instances: {sum(verdicts.values())}")
     for kind, count in sorted(verdicts.items()):

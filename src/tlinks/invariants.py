@@ -22,10 +22,10 @@ closure scans a raw word once for its literal twists (braid.split_full_twists):
   from one Temperley-Lieb move table per strand count.
 
 Alexander and Jones are computed on their first read, the other fields at
-once.  Closure.bundle freezes all six into an InvariantBundle, for bundle
-and sweep rows; certificates and torus references read the lazy Closure, so
-a candidate settled by the component count or the braid index never builds
-an Alexander polynomial.
+once.  The Closure is the one record of a closure's invariants: certificates
+and torus references read it lazily, so a candidate settled by the component
+count or the braid index never builds an Alexander polynomial, and
+Closure.bundle computes both polynomials at once for bundle and sweep rows.
 
 Alexander values are unit-normalized so "equal up to units" is plain
 equality.  Jones values live in quarter powers of t (exponent k encodes
@@ -52,7 +52,6 @@ and jones), so the recovery of coefficients is exact, never heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import prod
 from threading import Lock
@@ -79,22 +78,6 @@ from .laurent import (
 # reduction, so which words get a Jones value does not depend on how far they
 # reduce.
 DEFAULT_JONES_GUARD = 24
-
-
-@dataclass(frozen=True)
-class InvariantBundle:
-    """All computed invariants of one braid closure."""
-
-    components: int
-    letters: int
-    euler_char: int | None
-    braid_index: int | None
-    alexander: LaurentPoly
-    jones: LaurentPoly | None
-
-    @property
-    def jones_guarded(self) -> bool:  # as Closure.jones_guarded
-        return self.jones is None
 
 
 # -- reduced Burau representation and Alexander polynomial ---------------------
@@ -510,8 +493,11 @@ class _first_read:
 
 
 class Closure:
-    """Invariants of the closure of Delta^(2 twists) rest, by the field names of InvariantBundle.
+    """Invariants of the closure of Delta^(2 twists) rest, the one record of them.
 
+    The fields are components, letters, euler_char, braid_index, alexander
+    and jones; euler_char and braid_index are None for a word that is not
+    positive, and jones is None when jones_guarded, more letters than guard.
     alexander and jones run their engine on first read, the other fields at
     once and with no twist letter written: Delta^2 is a positive pure braid.
     Both read one reduction, pieces (braid.closure_pieces): jones multiplies
@@ -549,9 +535,10 @@ class Closure:
         sums = [_state_sum(piece) for piece in self.pieces if piece.letters]
         return prod(sums + [_SPLIT_FACTOR] * (len(self.pieces) - 1), start=LaurentPoly.one())
 
-    def bundle(self) -> InvariantBundle:
-        """Every field computed now and frozen."""
-        return InvariantBundle(**{f.name: getattr(self, f.name) for f in fields(InvariantBundle)})
+    def bundle(self) -> Closure:
+        """This closure, its Alexander and Jones polynomials computed now."""
+        _ = self.alexander, self.jones
+        return self
 
 
 def syllable_closure(p: Presentation, guard: int) -> Closure:
@@ -575,8 +562,8 @@ def closure(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Closure:
     return Closure(BraidWord(w.strands, letters), twists, guard)
 
 
-def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> InvariantBundle:
-    """Every invariant of the word's closure, computed now and frozen."""
+def bundle(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Closure:
+    """The closure of the word, every invariant computed now (Closure.bundle)."""
     return closure(w, guard).bundle()
 
 

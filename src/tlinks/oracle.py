@@ -33,14 +33,7 @@ from typing import Iterator
 
 from .braid import BraidWord
 from .classify import NOT_TORUS_LINK, Verdict, classify_form
-from .invariants import (
-    DEFAULT_JONES_GUARD,
-    Closure,
-    InvariantBundle,
-    closure,
-    syllable_closure,
-    torus_reference,
-)
+from .invariants import DEFAULT_JONES_GUARD, Closure, closure, syllable_closure, torus_reference
 from .tlink import FullTwistForm, TLinkSpec, presentation, render_tlink
 
 NOT_TORUS = "NotTorus"
@@ -93,7 +86,7 @@ def _chi_candidates(components: int, chi: int) -> tuple[list[tuple[int, int]], l
     return keep, [pq for pq in pairs if gcd(*pq) != components]
 
 
-# the bundle fields a candidate is compared on, in order, and the reason a
+# the closure fields a candidate is compared on, in order, and the reason a
 # mismatch records
 _ELIMINATIONS = (
     ("braid_index", REASON_BRAID_INDEX),
@@ -102,17 +95,19 @@ _ELIMINATIONS = (
 )
 
 
-def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
-    """Certificate for any closure with the field names of InvariantBundle.
+def certify_bundle(b: Closure) -> Certificate:
+    """Certificate for a closure, against torus references at its own guard.
 
-    b may be a lazy invariants.Closure.  A word that is not positive
-    (euler_char is None) is rejected first.  Each candidate that passes the
-    component count is compared field by field in _ELIMINATIONS order.  A
-    field the bundle lacks is skipped before the reference is read, so the
-    lazy reference never computes it; a field the reference lacks is skipped
-    too.  The first mismatch eliminates the candidate; a candidate that
-    survives every field is matched, completely when no field was skipped.
-    guard_hit reads jones_guarded, which a Closure answers from its letters.
+    b is an invariants.Closure, lazy or computed (Closure.bundle), and each
+    reference is torus_reference(p, q, b.guard), so both sides admit Jones
+    under one guard.  A word that is not positive (euler_char is None) is
+    rejected first.  Each candidate that passes the component count is
+    compared field by field in _ELIMINATIONS order.  A field the closure
+    lacks is skipped before the reference is read, so the lazy reference
+    never computes it; a field the reference lacks is skipped too.  The
+    first mismatch eliminates the candidate; a candidate that survives every
+    field is matched, completely when no field was skipped.  guard_hit reads
+    b.jones_guarded, which the closure answers from its letters.
     """
     if b.euler_char is None:
         raise ValueError("certification needs a positive braid word")
@@ -120,7 +115,7 @@ def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUAR
     results = [CandidateResult(p, q, REASON_COMPONENTS) for p, q in pruned]
     survivors: list[list[str]] = []  # the fields skipped for each matched candidate
     for p, q in keep:
-        ref = torus_reference(p, q, guard)
+        ref = torus_reference(p, q, b.guard)
         skipped = []
         for field, mismatch in _ELIMINATIONS:
             ours = getattr(b, field)
@@ -145,7 +140,7 @@ def certify_bundle(b: InvariantBundle | Closure, guard: int = DEFAULT_JONES_GUAR
 
 def certify(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
     """Certify whether the closure of a positive word is a torus link, reading its lazy closure."""
-    return certify_bundle(closure(w, guard), guard)
+    return certify_bundle(closure(w, guard))
 
 
 # -- classifier-versus-oracle sweep -------------------------------------------
@@ -159,7 +154,7 @@ class SweepRow:
     form: FullTwistForm
     verdict: Verdict
     certificate: Certificate
-    invariants: InvariantBundle
+    invariants: Closure
     timing_ms: int
 
     @property
@@ -203,7 +198,7 @@ def _sweep_row(args: tuple[int, FullTwistForm, int]) -> SweepRow:
     spec = form.spec()
     verdict = classify_form(form)
     b = syllable_closure(presentation(form), guard).bundle()
-    cert = certify_bundle(b, guard)
+    cert = certify_bundle(b)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRow(
         index=index,

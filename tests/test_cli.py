@@ -314,6 +314,24 @@ def test_sweep_rejects_unwritable_report_paths_before_work(tmp_path, capsys, mon
     assert not missing.exists()
 
 
+def test_sweep_rejects_a_report_path_under_a_file(tmp_path, capsys, monkeypatch):
+    # the directory of f/r.json is a writable regular file: the report's
+    # temporary file cannot be created, which fails before any row and
+    # leaves no temporary file of the other report behind
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep_rows", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("kept")
+    cases = [("--out", "f/r.json"), ("--csv", "f/r.csv"), ("--out", "r.json", "--csv", "f/r.csv")]
+    for args in cases:
+        code, out, err = run(capsys, "sweep", "--max-p", "4", *args)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot write a report to {args[-1]}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert (tmp_path / "f").read_text() == "kept"
+
+
 def test_sweep_rejects_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
     # the CSV would replace the JSON report; both fail before any row
     def no_work(*args, **kwargs):

@@ -34,6 +34,15 @@ from tlinks.oracle import (
 from tlinks.tlink import FullTwistForm, absorb_strands, presentation
 
 
+# the fields of a closure's record; a Closure compares by identity
+INVARIANT_FIELDS = ("components", "letters", "euler_char", "braid_index", "alexander", "jones")
+
+
+def row_invariants(r):
+    """The six invariant fields of a sweep row, to compare rows by value."""
+    return tuple(getattr(r.invariants, f) for f in INVARIANT_FIELDS)
+
+
 def candidates(b):
     """The (p, q), q <= p, that pass the component-count and chi filters."""
     return _chi_candidates(b.components, b.euler_char)[0]
@@ -123,7 +132,7 @@ def test_torus_reference_builds_no_braid(monkeypatch):
     ref = torus_reference(7, 3)
     monkeypatch.undo()
     b = bundle(torus_braid(7, 3))
-    for field in ("components", "letters", "euler_char", "braid_index", "alexander", "jones"):
+    for field in INVARIANT_FIELDS:
         assert getattr(ref, field) == getattr(b, field), field
     torus_reference.cache_clear()
 
@@ -168,13 +177,13 @@ def test_guard_hit_needs_no_state_sum(monkeypatch):
         cert = certify(w, guard)
         assert cert.kind == NOT_TORUS and cert.guard_hit is hit, guard
     monkeypatch.undo()
-    # the lazy closure and the frozen bundle give the same certificate,
-    # guard_hit included
+    # the lazy closure and the computed bundle give the same certificate,
+    # guard_hit included, each against references at its own guard
     words = [presentation(f).word() for f in enumerate_forms(6, 2, 2)]
     words += [torus_braid(6, 5), torus_braid(5, 3), BraidWord(3, (1, 1)), BraidWord(1, ())]
     for word in words:
         for guard in (0, 4, 24, 40):
-            assert certify(word, guard) == certify_bundle(bundle(word, guard), guard), (word, guard)
+            assert certify(word, guard) == certify_bundle(bundle(word, guard)), (word, guard)
 
 
 def test_import_leaves_the_process_pool_out():
@@ -318,7 +327,7 @@ def test_cross_validate_caps_worker_count(monkeypatch, serial_pool):
 
     def rows(**kwargs):
         report = cross_validate(max_s=1, max_n=1, **kwargs)
-        return [(r.text, r.verdict, r.certificate, r.invariants) for r in report.rows]
+        return [(r.text, r.verdict, r.certificate, row_invariants(r)) for r in report.rows]
 
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     serial = rows(max_p=5)
@@ -355,9 +364,21 @@ def test_cross_validate_jobs_agree():
     seq = cross_validate(max_p=5, max_n=1, max_s=1, guard=24)
     par = cross_validate(max_p=5, max_n=1, max_s=1, guard=24, jobs=2)
     strip = lambda rows: [
-        (r.text, r.verdict, r.certificate, r.invariants) for r in rows
+        (r.text, r.verdict, r.certificate, row_invariants(r)) for r in rows
     ]
     assert strip(seq.rows) == strip(par.rows)
+
+
+def test_bundles_come_back_computed():
+    # bundle, Closure.bundle and every sweep row give the record with both
+    # polynomials computed, rows from a pool of two workers too, which are
+    # unpickled here
+    w = torus_braid(5, 3)
+    records = [bundle(w), invariants.closure(w).bundle()]
+    records += [r.invariants for r in cross_validate(5, jobs=2).rows]
+    assert len(records) == 30
+    for b in records:
+        assert {"alexander", "jones"} <= set(vars(b))
 
 
 def test_sweep_computes_each_reference_field_only_when_compared(monkeypatch):
