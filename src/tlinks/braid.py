@@ -187,8 +187,13 @@ def closure_pieces(w: BraidWord) -> tuple[BraidWord, ...]:
     """
     n, letters = w.strands, list(w.letters)
     destabilized = [False] * (n + 1)
+    # a pair cancels only if its generator occurs with both signs, and the
+    # moves only delete letters, so a word with no such generator (a
+    # positive word, say) needs no scan
+    occurring = set(letters)
+    cancels = any(-e in occurring for e in occurring)
     while True:
-        while _cancel_pass(letters):
+        while cancels and _cancel_pass(letters):
             pass
         count = [0] * (n + 1)  # letters per generator; 0 and n stay empty
         for e in letters:
@@ -201,6 +206,8 @@ def closure_pieces(w: BraidWord) -> tuple[BraidWord, ...]:
             break
         destabilized[g] = True
         letters.remove(g if g in letters else -g)
+    if len(letters) == len(w.letters) and all(count[1:n]):
+        return (w,)  # no move applied: one piece, the word itself
 
     strands, low, piece_of = [1], [0], [0] * n
     for g in range(1, n):
@@ -231,8 +238,8 @@ class Presentation(NamedTuple):
     each strand-absorption step, (p - j, q), merged into the twist block at
     the last step (tlink); and the torus braid delta^p, (q, p).  As
     (sigma_1...sigma_{n-1})^n = Delta^2, the syllable splits by divmod into
-    floor(exponent / n) full twists and what is left
-    (invariants.syllable_closure), with no twist letter written.
+    floor(exponent / n) full twists and what is left (split, which
+    invariants.syllable_closure reads), with no twist letter written.
     """
 
     prefix: tuple[int, ...]
@@ -242,6 +249,16 @@ class Presentation(NamedTuple):
     def word(self) -> BraidWord:
         """The braid written out letter by letter."""
         return BraidWord(self.strands, self.prefix + syllables([(self.strands, self.exponent)]))
+
+    def split(self) -> tuple[int, BraidWord]:
+        """(j, rest) with the braid equal to Delta^(2j) rest, j = floor(exponent / strands).
+
+        Delta^2 is central, so the j full twists come apart from the prefix
+        and the exponent mod strands letters left of the syllable; no twist
+        letter is written.
+        """
+        twists, r = divmod(self.exponent, self.strands)
+        return twists, self._replace(exponent=r).word()
 
 
 def split_full_twists(w: BraidWord) -> tuple[int, tuple[int, ...]]:

@@ -65,8 +65,8 @@ MAX_STRANDS = 100
 # takes 0.15 s on T((3,2000)), 0.02 s of it after start-up: of its 4000
 # letters, 3996 are 666 full twists, which split off by divmod unwritten and
 # which alexander takes as a factor.  On random 9-strand words it grows faster
-# than the square of the letters: 0.9 s signed and 7.6 s positive at 700
-# letters, 4.2 s and 29 s at 1000 (a twist-free word is reduced, then computed
+# than the square of the letters: 0.55 s signed and 7.6 s positive at 700
+# letters, 2.9 s and 25 s at 1000 (a twist-free word is reduced, then computed
 # on two half-words).  The limit also stops T((3,10^9)), whose twists are
 # never written but whose Alexander polynomial has degree 2 x 10^9.
 MAX_LETTERS = 5000

@@ -42,12 +42,13 @@ a twist-free word is first reduced (Closure), and a split one is 0.  One
 column routine updates the Burau columns of either half as integers packed
 at t = 2^K1, O(m) per letter of either sign, K1 set by one norm bound per
 column of each half; one digit pass reads their coefficients and lowest
-exponents; laurent.packed_determinant repacks the matrix for one integer
-determinant; and the division by 1 + t + ... + t^(n-1) is one integer
-division whose quotient is unpacked once.  These widths and the Jones one
-come from proved bounds on coefficient size (see _packed_columns,
-_alexander_columns, laurent.packed_determinant, laurent.divide_by_strand_sum
-and jones), so the recovery of coefficients is exact, never heuristic.
+exponents; laurent.packed_determinant repacks the matrix, at the width of
+the permanent of its entry norms, for one integer determinant; and the
+determinant is unpacked once and divided by 1 + t + ... + t^(n-1) on its
+coefficients.  These widths and the Jones one come from proved bounds on
+coefficient size (see _packed_columns, _alexander_columns,
+laurent.packed_determinant, laurent.divide_by_strand_sum and _state_sum), so
+the recovery of coefficients is exact, never heuristic.
 """
 
 from __future__ import annotations
@@ -66,17 +67,21 @@ from .laurent import (
     unpack,
 )
 
-# Cost model of jones: per piece of the reduced word, about letters x
+# Cost model of jones: per piece of the reduced word, at most letters x
 # min(Catalan(strands), 2^letters) bucket updates, each a list index into the
-# move table of its strand count, a shift and an add on an integer of at most
-# 2 x letters digits of K = letters + strands + 1 bits.  A move is worked out
-# once per process per strand count (_state_sum), so a cold table adds at
-# most (strands - 1) x Catalan(strands) cup-cap moves, shared by later words.
-# The reduction before it (braid.closure_pieces) is repeated list scans; on
-# every word measured it costs a small part of the state sum on what it
-# leaves.  The guard counts the letters of the word as given, before the
-# reduction, so which words get a Jones value does not depend on how far they
-# reduce.
+# move table of its strand count and a shift and an add on an integer of at
+# most 2 x letters digits of K = letters + strands + 1 bits, after one
+# C-level copy of the buckets per letter.  The rotation that the sum starts
+# from (_late_start, at most letters^2 steps) meets fewer buckets: on the 456
+# pieces of the seed-0 words benchmark, 156,577 updates where the word as
+# given meets 265,190 (the best rotation meets 152,697).  A move is worked
+# out once per process per strand count (_state_sum), so a cold table adds
+# at most (strands - 1) x Catalan(strands) cup-cap moves, shared by later
+# words.  The reduction before it (braid.closure_pieces) is repeated list
+# scans; on every word measured it costs a small part of the state sum on
+# what it leaves.  The guard counts the letters of the word as given, before
+# the reduction, so which words get a Jones value does not depend on how far
+# they reduce.
 DEFAULT_JONES_GUARD = 24
 
 
@@ -208,19 +213,18 @@ def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
     positive rest and j >= 1, t^N (t^(nj) rho(w1) - rho(w2^-1)) else.  One
     digit pass (laurent.digits_of) reads every entry.  The columns, the rows of
     the transpose, which has the same determinant, go to
-    laurent.packed_determinant with the slack 2n + 1 that
-    laurent.divide_by_strand_sum needs to divide by
-    [n]_t = 1 + t + ... + t^(n-1) in packed form, unpack the quotient once
-    and raise InexactDivisionError unless the division is exact.  The unit
-    +-t^e and the determinant's shift by a power of t drop out in the
-    normalization.
+    laurent.packed_determinant, whose width recovers every coefficient of the
+    determinant; laurent.divide_by_strand_sum reads them and divides by
+    [n]_t = 1 + t + ... + t^(n-1), and raises InexactDivisionError unless the
+    division is exact.  The unit +-t^e and the determinant's shift by a power
+    of t drop out in the normalization.
     """
     n = w.strands
     if n == 1:
         return LaurentPoly.one()
     cols, k, _ = _alexander_columns(w, twists)
     digit_cols = [[digits_of(v, k) for v in col] for col in cols]
-    det, k2, bound, _ = packed_determinant(digit_cols, 2 * n + 1)
+    det, k2, bound, _ = packed_determinant(digit_cols)
     if not det:
         return LaurentPoly.zero()
     return divide_by_strand_sum(det, n, k2, bound).unit_normalized()
@@ -319,6 +323,36 @@ _RETAINED_STRANDS = 9
 _move_tables: dict[int, _MoveTable] = {}
 
 
+def _late_start(gens: list[int]) -> int:
+    """The start of the rotation of gens whose prefixes take in new generators latest.
+
+    Minimizes the sum over i of 2^(distinct generators among the first i
+    letters of the rotation), the first one on a tie.  The buckets of
+    _state_sum before letter i are the matchings that those generators
+    reach, so the sum estimates the updates (it is not a bound: 3 strands
+    have 5 matchings, reached by 2 generators).  Each rotation stops
+    counting once it has met every generator, where the rest of its sum is
+    one product, or once it is past the best.
+    """
+    c, every = len(gens), len(set(gens))
+    cycle = gens + gens
+    best, start = None, 0
+    for r in range(c):
+        seen: set[int] = set()
+        cost = 0
+        for i in range(r, r + c):
+            cost += 1 << len(seen)
+            seen.add(cycle[i])
+            if len(seen) == every:
+                cost += (r + c - 1 - i) << every
+                break
+            if best is not None and cost >= best:
+                break
+        if best is None or cost < best:
+            best, start = cost, r
+    return start
+
+
 def _state_sum(w: BraidWord) -> LaurentPoly:
     """Jones polynomial of the closure by the Kauffman state sum.
 
@@ -335,6 +369,22 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     u^(n-L).  The sum is unpacked once; u^e becomes quarter exponent 2e, less
     the padding 2(n-1) and the offsets 2c - writhe of the c crossings, plus
     the normalization 3 writhe.
+
+    One letter.  The vertical terms keep every bucket's matching, so the new
+    buckets start as one copy of the old ones, times u^(1-s): dict.copy for
+    sigma_i, a comprehension shifting by 2K for sigma_i^-1.  Then each
+    bucket adds its cup-cap term u to the bucket it moves to, or, at a kink,
+    trades its copied vertical term for the kink term: -u^(1+s) - u^(1-s) is
+    -(1 + u^2) for either sign.  A bucket whose terms cancel stays, as 0:
+    it adds nothing to the sum, and the buckets are bounded by the move
+    table, not by how many stay.
+
+    Start of the sum.  A rotation of the word is a conjugation, and its
+    closed braid is the same diagram, so every rotation gives the same
+    bracket; but the buckets met differ.  Before letter i they are the
+    matchings that the first i letters reach, so the sum starts at the
+    rotation whose prefixes take in new generators latest (_late_start), an
+    estimate that picks the order only, never a value.
 
     One move table per strand count.  The cup-cap smoothings are the
     Temperley-Lieb action of the generators on the matchings (Jones 1987),
@@ -375,23 +425,23 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
             _move_tables[n] = table
     moves, cup_cap = table.moves, table.cup_cap
 
+    k2 = 2 * k
+    r = _late_start([abs(e) for e in w.letters])
     states = {0: 1}
-    for letter in w.letters:
+    for letter in w.letters[r:] + w.letters[:r]:
         i = abs(letter)
         move = moves[i]
-        vertical, kink = (0, 2 * k) if letter > 0 else (2 * k, 0)
-        acc: dict[int, int] = {}
+        acc = states.copy() if letter > 0 else {s: v << k2 for s, v in states.items()}
         get = acc.get
         for s, v in states.items():
             t = move[s]
             if t is None:
                 t = cup_cap(s, i)
             if t < 0:
-                acc[s] = get(s, 0) - (v << kink)
+                acc[s] -= v + (v << k2)
             else:
-                acc[s] = get(s, 0) + (v << vertical)
                 acc[t] = get(t, 0) + (v << k)
-        states = {key: val for key, val in acc.items() if val}
+        states = acc
 
     loops = table.loops
     by_loops = [0] * (n + 1)
@@ -545,15 +595,15 @@ def syllable_closure(p: Presentation, guard: int) -> Closure:
     """The lazy closure of prefix (sigma_1...sigma_{n-1})^exponent on n strands, split by divmod.
 
     (sigma_1...sigma_{n-1})^n = Delta^2, which is central, so the braid is
-    Delta^(2 floor(exponent/n)) prefix (sigma_1...sigma_{n-1})^(exponent mod n),
-    and the twists are never written out.  Every braid built from parameters
-    ends in such a syllable (braid.Presentation): T-links, sweep
-    presentations and torus references (at n = 1 the syllable is empty).
-    On those braids the split equals that of braid.split_full_twists on the
-    written-out word, which the tests check.
+    Delta^(2 floor(exponent/n)) prefix (sigma_1...sigma_{n-1})^(exponent mod n)
+    (Presentation.split), and the twists are never written out.  Every braid
+    built from parameters ends in such a syllable (braid.Presentation):
+    T-links, sweep presentations and torus references (at n = 1 the syllable
+    is empty).  On those braids the split equals that of
+    braid.split_full_twists on the written-out word, which the tests check.
     """
-    twists, r = divmod(p.exponent, p.strands)
-    return Closure(p._replace(exponent=r).word(), twists, guard)
+    twists, rest = p.split()
+    return Closure(rest, twists, guard)
 
 
 def closure(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Closure:

@@ -6,13 +6,14 @@ union-find loop counting, and for long words by a state sum bucketed by
 planar matching over dict polynomials, the torus-knot Alexander and Jones
 polynomials by exact division of their closed-form quotients, the reduced
 Burau matrix as a product of generator matrices over Laurent polynomials,
-determinants by Leibniz expansion, polynomial division by the schoolbook
-method on dense coefficient lists, values at a point as exact fractions,
-the Garside normal form by left-weighting every adjacent pair until nothing
-changes, braid-word equivalence by closing the word under commutation and
-braid relations, torus candidate parameters by direct integer
-enumeration, and sweep reports by one json.dump of the whole document and a
-CSV table flattened from the list of every row's dict.
+determinants by Leibniz expansion, permanents as a sum over permutations,
+polynomial division by the schoolbook method on dense coefficient lists,
+values at a point as exact fractions, the Garside normal form by
+left-weighting every adjacent pair until nothing changes, braid-word
+equivalence by closing the word under commutation and braid relations,
+torus candidate parameters by direct integer enumeration, and sweep reports
+by one json.dump of the whole document and a CSV table flattened from the
+list of every row's dict.
 
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
@@ -33,7 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Permutation, Presentation
@@ -281,6 +282,11 @@ def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total + scaled(term, -1 if inversions % 2 else 1)
     return total
+
+
+def permanent(a: Sequence[Sequence[int]]) -> int:
+    """sum over permutations s of prod_i a[i][s(i)]; meant for size <= 7."""
+    return sum(prod(a[i][j] for i, j in enumerate(perm)) for perm in permutations(range(len(a))))
 
 
 def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:
@@ -548,7 +554,7 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
 def determinant(m: PolyMatrix) -> LaurentPoly:
     """Exact determinant, as one packed integer determinant (laurent.packed_determinant)."""
     rows = [[_dense(p) if p else None for p in row] for row in m.entries]
-    det, k, _, low = packed_determinant(rows, 1)
+    det, k, _, low = packed_determinant(rows)
     return unpack(det, k, low)
 
 

@@ -359,6 +359,33 @@ def test_jones_of_words_that_cancel_to_nothing():
             assert jones(w) == expected == bucket_jones(w), w
 
 
+def test_state_sum_keeps_zero_buckets(monkeypatch):
+    # sigma_g sigma_g^-1 = (A + A^-1 e_g)(A^-1 + A e_g) = 1 + (A^2 + A^-2 + d) e_g
+    # with the loop value d = -A^2 - A^-2, so a word that starts with g, -g
+    # leaves the bucket of e_g at 0 after its second letter, and a pair met
+    # later cancels the e_g terms it adds.  Closure reduces such pairs away
+    # before any state sum, so _state_sum is called here on the words as they
+    # are: first summed as written, then from the rotation it picks.  It
+    # keeps zero buckets; the oracles drop them
+    rng = random.Random(26)
+    words = []
+    for n in range(2, 7):
+        for _ in range(4):
+            length = rng.randint(0, 6)
+            letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+            for _ in range(2):
+                g = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                at = rng.randint(0, len(letters))
+                letters[at:at] = [g, -g]
+            g = rng.randint(1, n - 1)
+            words.append(BraidWord(n, (g, -g, *letters)))
+    expected = [bucket_jones(w) for w in words]
+    assert expected == [brute_jones(w) for w in words]
+    assert [invariants._state_sum(w) for w in words] == expected
+    monkeypatch.setattr(invariants, "_late_start", lambda gens: 0)
+    assert [invariants._state_sum(w) for w in words] == expected
+
+
 def table_words():
     """Fixed signed words on 2-9 strands: per n, the alternating
     sigma_1 sigma_2^-1 sigma_3 ... twice, which closure_pieces leaves whole,

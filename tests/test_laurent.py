@@ -1,19 +1,32 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     PolyMatrix,
+    _dense,
     determinant,
     divide_exact,
     evaluate,
     identity_matrix,
     leibniz_determinant,
     matmul,
+    permanent,
     poly_pow,
     t_power,
 )
-from tlinks.laurent import InexactDivisionError, LaurentPoly, divide_by_strand_sum, poly_text
+from tlinks import laurent
+from tlinks.laurent import (
+    InexactDivisionError,
+    LaurentPoly,
+    divide_by_strand_sum,
+    packed_determinant,
+    poly_text,
+    unpack,
+)
 
 T = t_power
 ONE = LaurentPoly.one()
@@ -135,6 +148,111 @@ def test_divide_by_strand_sum_checks():
     assert divide_by_strand_sum(2 * 17, 2, 4, 1) == P({0: 2})
     with pytest.raises(InexactDivisionError, match="not exact"):
         divide_by_strand_sum(5 * 17, 2, 4, 1)
+
+
+def test_one_bit_digits_raise():
+    # at k = 1 the balanced digits of a nonzero value never end, so the read
+    # raises instead of growing its digit list without bound
+    assert unpack(0, 1, 0) == ZERO
+    with pytest.raises(ValueError, match="width"):
+        unpack(1, 1, 0)
+
+
+def _packed(coeffs, k):
+    """sum(c 2^(k e)): coeffs packed at t = 2^k from t^0 up."""
+    return sum(c << k * e for e, c in coeffs.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=8), st.integers(min_value=-20, max_value=20), min_size=1
+    ).filter(lambda q: any(q.values())),
+    st.integers(min_value=1, max_value=10),
+)
+def test_divide_by_strand_sum_at_slack_one(q, n):
+    # det = Q [n]_t packed at the width of its own l1 norm, no slack: the
+    # division reads det's coefficients and returns Q
+    quotient = LaurentPoly(q)
+    det = dict((quotient * LaurentPoly({e: 1 for e in range(n)})).terms())
+    bound = sum(map(abs, det.values()))
+    k = bound.bit_length() + 1
+    value = _packed(det, k)
+    assert divide_by_strand_sum(value, n, k, bound) == quotient
+    if n == 1:
+        return
+    # det plus or minus t^e is not a multiple of [n]_t, for any e
+    for e in range(max(det) + 2):
+        for step in (1, -1):
+            with pytest.raises(InexactDivisionError):
+                divide_by_strand_sum(value + (step << k * e), n, k, bound)
+
+
+def _rows(m):
+    """The entries of m as packed_determinant reads them."""
+    return [[_dense(p) if p else None for p in row] for row in m.entries]
+
+
+def _norms(rows):
+    return [[sum(map(abs, e[1])) if e else 0 for e in row] for row in rows]
+
+
+square_entries = st.integers(min_value=1, max_value=5).flatmap(
+    lambda m: st.lists(small_polys, min_size=m * m, max_size=m * m)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_entries)
+def test_packed_determinant_bound_is_the_norm_permanent(entries):
+    # below the cap the bound is perm(N) of the entry norms, by an
+    # independent sum over permutations, and it bounds the l1 norm of the
+    # Leibniz determinant
+    m = round(len(entries) ** 0.5)
+    matrix = PolyMatrix.from_rows([entries[i * m : (i + 1) * m] for i in range(m)])
+    rows = _rows(matrix)
+    d, k, bound, low = packed_determinant(rows)
+    assert m <= laurent._PERMANENT_MAX
+    assert bound == permanent(_norms(rows))
+    exact = leibniz_determinant(matrix)
+    assert sum(abs(c) for _, c in exact.terms()) <= bound < 1 << k - 1
+    assert determinant(matrix) == exact
+
+
+def _random_entry(rng):
+    return rng.randint(-3, 3), [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))]
+
+
+def _no_table(a):
+    raise AssertionError("a permanent was summed above the cap")
+
+
+def test_packed_determinant_bound_above_the_cap(monkeypatch):
+    # the cap is the measured 10 (see packed_determinant): at m = 10 an
+    # all-ones norm matrix has perm = 10!, below the row and column products
+    # 10^10; above it no permanent is summed, and the bound is the smaller
+    # of those products, here of matrices with uneven rows and columns
+    assert laurent._PERMANENT_MAX == 10
+    ones = [[(0, [1])] * 10 for _ in range(10)]
+    assert packed_determinant(ones)[2] == prod(range(1, 11))
+    monkeypatch.setattr(laurent, "_permanent", _no_table)
+    rng = random.Random(7)
+    for m in range(11, 14):
+        rows = [[_random_entry(rng) for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            rows[i][rng.randrange(m)] = None
+        norms = _norms(rows)
+        products = prod(map(sum, norms)), prod(map(sum, zip(*norms)))
+        assert packed_determinant(rows)[2] == min(products)
+
+
+def test_wide_determinant_builds_no_subset_table(monkeypatch):
+    # a dense 30x30 matrix, every entry 1 + t: above the cap no permanent
+    # is summed, so no table of column sets is ever built
+    monkeypatch.setattr(laurent, "_permanent", _no_table)
+    rows = [[(0, [1, 1])] * 30 for _ in range(30)]
+    d, k, bound, low = packed_determinant(rows)
+    assert (d, bound) == (0, 60**30)
 
 
 def test_pow_and_evaluate():

@@ -149,9 +149,9 @@ def test_markov_reduce_is_iterated_destabilization():
 
 
 def _split(p):
-    """(twists, rest letters) of a presentation's closure, split by divmod."""
-    c = syllable_closure(p, 0)
-    return c.twists, c.rest.letters
+    """(twists, rest letters) of a presentation, split by divmod."""
+    twists, rest = p.split()
+    return twists, rest.letters
 
 
 def _written(form):
@@ -170,6 +170,14 @@ def test_presentation_splits_as_its_written_word():
         p = presentation(form)
         assert p.word() == _written(form), form
         assert p.exponent > p.strands  # so the closure carries a full twist
+
+
+def test_syllable_closure_reads_the_split():
+    # the closure of a presentation holds the twists and rest of its split
+    for form in enumerate_forms(9, 2, 2):
+        p = presentation(form)
+        c = syllable_closure(p, 0)
+        assert (c.twists, c.rest.letters) == _split(p), form
 
 
 @st.composite
