@@ -7,7 +7,7 @@ obtained by full twists along torus links, and an independent certification
 oracle that eliminates torus candidates by invariant comparison.
 """
 
-from .braid import BraidWord, Permutation, braid_text, parse_braid_text
+from .braid import BraidWord, braid_text, parse_braid_text
 from .classify import (
     DEFERRED_TO_LEE,
     EXCEPTIONAL_FAMILY,

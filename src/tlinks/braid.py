@@ -29,44 +29,6 @@ def integer(value, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}, stored as the tuple (images[i-1] = image of i)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its minimum, sorted by minimum."""
-        seen = [False] * self.size
-        out = []
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                cyc.append(j)
-                j = self.images[j - 1]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_count(self) -> int:
-        return len(self.cycles())
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on `strands` strands."""
 
@@ -99,17 +61,27 @@ class BraidWord:
     def is_positive(self) -> bool:
         return not self.letters or min(self.letters) > 0
 
-    def permutation(self) -> Permutation:
-        """Bottom-position labelling: images[j-1] = top strand arriving at slot j."""
-        labels = list(range(1, self.strands + 1))
+    def component_count(self) -> int:
+        """Number of link components of the closure: the cycles of the strand permutation.
+
+        labels[j] is the top strand that arrives at bottom slot j (0-based).
+        Each letter swaps two neighbouring labels, so the labels stay a
+        permutation of 0..n-1, and the closure joins slot j to strand j: one
+        component per cycle.  Each cycle is walked once, its labels
+        overwritten with -1 as it goes.
+        """
+        labels = list(range(self.strands))
         for e in self.letters:
             i = abs(e)
             labels[i - 1], labels[i] = labels[i], labels[i - 1]
-        return Permutation(tuple(labels))
-
-    def component_count(self) -> int:
-        """Number of link components of the closure."""
-        return self.permutation().cycle_count()
+        count = 0
+        for start in range(self.strands):
+            if labels[start] >= 0:
+                count += 1
+                j = start
+                while labels[j] >= 0:
+                    labels[j], j = -1, labels[j]
+        return count
 
     def __str__(self) -> str:
         return braid_text(self)

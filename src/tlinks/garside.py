@@ -14,17 +14,17 @@ positive braids"; Epstein et al., *Word Processing in Groups*, ch. 9): the
 word is split greedily into permutation braids and the form is multiplied on
 the right by one of them at a time, with one right-to-left pass.
 
-Factors are braid.Permutation values.  Inside normal_form permutations are
-0-based image lists p with p[i] = image of position i, composed in diagram
-order (left word acts first), each kept with its inverse list so that moving
-one generator costs O(1).
+Factors are 1-based image tuples f, f[i-1] = image of position i.  Inside
+normal_form permutations are 0-based image lists p with p[i] = image of
+position i, composed in diagram order (left word acts first), each kept with
+its inverse list so that moving one generator costs O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation
+from .braid import BraidWord
 
 
 def _times(p: list[int], inv: list[int], g: int) -> None:
@@ -66,7 +66,7 @@ class NormalForm:
 
     strands: int
     infimum: int
-    factors: tuple[Permutation, ...]
+    factors: tuple[tuple[int, ...], ...]
 
     def canonical_length(self) -> int:
         return len(self.factors)
@@ -118,7 +118,7 @@ def normal_form(w: BraidWord) -> NormalForm:
     inf = 0
     while inf < len(perms) and perms[inf] == delta:
         inf += 1
-    tail = tuple(Permutation(tuple(i + 1 for i in f)) for f in perms[inf:])
+    tail = tuple(tuple(i + 1 for i in f) for f in perms[inf:])
     return NormalForm(n, inf, tail)
 
 

@@ -8,7 +8,9 @@ polynomials by exact division of their closed-form quotients, the reduced
 Burau matrix as a product of generator matrices over Laurent polynomials,
 determinants by Leibniz expansion, permanents as a sum over permutations,
 polynomial division by the schoolbook method on dense coefficient lists,
-values at a point as exact fractions, the Garside normal form by
+values at a point as exact fractions, the digit widths of the Alexander
+columns and of the Kauffman state sum from their own bounds, the strand
+permutation by following each strand down the word, the Garside normal form by
 left-weighting every adjacent pair until nothing changes, braid-word
 equivalence by closing the word under commutation and braid relations,
 torus candidate parameters by direct integer enumeration, and sweep reports
@@ -37,7 +39,7 @@ from itertools import permutations, product
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from tlinks.braid import BraidWord, Permutation, Presentation
+from tlinks.braid import BraidWord, Presentation
 from tlinks.cli import _CSV_FIELDS, report_row
 from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
@@ -313,15 +315,95 @@ def torus_jones_closed_form(p: int, q: int) -> LaurentPoly:
     return LaurentPoly({4 * e: c for e, c in v.terms()})
 
 
-def is_identity(f: Permutation) -> bool:
-    return all(img == i for i, img in enumerate(f.images, start=1))
+def burau_norm_bound(m: int, letters: Sequence[int]) -> int:
+    """The largest of m per-column bounds on the l1 norms of the entries of rho(letters).
+
+    rho is the reduced Burau representation on m + 1 strands.  Every column
+    starts at 1, the identity's.  Right multiplication by the matrix of
+    sigma_g^(+-1) rewrites only column g - 1, as its neighbours and itself
+    times monomials of coefficient +-1, so its bound becomes the sum of the
+    three bounds (a neighbour outside the matrix counts as 0).  The bound is
+    not tight: it ignores cancellation, and it takes the largest column for
+    every entry.
+    """
+    norms = [1] * m
+    for e in letters:
+        c = abs(e) - 1
+        norms[c] = sum(norms[max(c - 1, 0) : c + 2])
+    return max(norms)
 
 
-def permutation_inverse(f: Permutation) -> Permutation:
-    inv = [0] * f.size
-    for i, img in enumerate(f.images, start=1):
+def alexander_width(rest: BraidWord, twists: int) -> int:
+    """K1 = bit_length(B1 + B2) + 1, the digit width of the matrix alexander packs.
+
+    The matrix is t^N (t^(nj) rho(w1) - rho(w2^-1)), rest = w1 w2 cut at half
+    its letters, or t^(nj) rho(rest) - I (w2 empty) for a positive rest with
+    j = twists >= 1.  B1 and B2 bound the l1 norms of the entries of the two
+    terms (burau_norm_bound; w2^-1 reads w2's letters backwards), so every
+    coefficient of the difference lies in |c| <= B1 + B2 < 2^(K1-1).  The
+    width is not tight: the bounds are not, and the entries of the two terms
+    rarely reach them together.
+    """
+    letters, m = rest.letters, rest.strands - 1
+    h = len(letters) if twists and rest.is_positive else len(letters) // 2
+    b1 = burau_norm_bound(m, letters[:h])
+    b2 = burau_norm_bound(m, letters[h:][::-1])
+    return (b1 + b2).bit_length() + 1
+
+
+def state_sum_width(w: BraidWord) -> int:
+    """K = bit_length(B) + 1 with B = 2^(c+n-1), the digit width of a Kauffman state sum.
+
+    Each of the c crossings splits a bucket into at most two terms of the
+    same l1 norm, so the buckets sum to norm at most 2^c, and a closure
+    factor (-1)^(L-1) (1 + u^2)^(L-1) u^(n-L) of L <= n loops has norm at most
+    2^(n-1): no coefficient of the packed sum exceeds B.  The bound is not
+    tight: most buckets cancel in part, and few close to n loops.
+    """
+    return (1 << len(w.letters) + w.strands - 1).bit_length() + 1
+
+
+def strand_permutation(w: BraidWord) -> tuple[int, ...]:
+    """The strand permutation of w as a 1-based image tuple: images[j-1] = top strand at slot j.
+
+    Each top strand is followed down the letters on its own: sigma_g^(+-1)
+    moves a strand at position g to g + 1 and one at g + 1 to g.
+    """
+    images = [0] * w.strands
+    for strand in range(1, w.strands + 1):
+        at = strand
+        for e in w.letters:
+            g = abs(e)
+            if at == g:
+                at = g + 1
+            elif at == g + 1:
+                at = g
+        images[at - 1] = strand
+    return tuple(images)
+
+
+def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Disjoint cycles of a 1-based image tuple, each from its minimum, sorted by minimum."""
+    out: list[tuple[int, ...]] = []
+    for start in range(1, len(images) + 1):
+        if any(start in c for c in out):
+            continue
+        cyc = [start]
+        while (nxt := images[cyc[-1] - 1]) != start:
+            cyc.append(nxt)
+        out.append(tuple(cyc))
+    return out
+
+
+def is_identity(images: Sequence[int]) -> bool:
+    return all(img == i for i, img in enumerate(images, start=1))
+
+
+def permutation_inverse(images: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, img in enumerate(images, start=1):
         inv[img - 1] = i
-    return Permutation(tuple(inv))
+    return tuple(inv)
 
 
 # -- braid words only the tests build, and their letter counts ----------------
@@ -415,14 +497,14 @@ def _descents(p: tuple[int, ...]) -> set[int]:
     return {g for g in range(1, len(p)) if p[g - 1] > p[g]}
 
 
-def starting_set(f: Permutation) -> frozenset[int]:
-    """Generators that left-divide the permutation braid f."""
-    return frozenset(_descents(f.images))
+def starting_set(f: tuple[int, ...]) -> frozenset[int]:
+    """Generators that left-divide the permutation braid f, a 1-based image tuple."""
+    return frozenset(_descents(f))
 
 
-def finishing_set(f: Permutation) -> frozenset[int]:
-    """Generators that right-divide the permutation braid f."""
-    return frozenset(_descents(permutation_inverse(f).images))
+def finishing_set(f: tuple[int, ...]) -> frozenset[int]:
+    """Generators that right-divide the permutation braid f, a 1-based image tuple."""
+    return frozenset(_descents(permutation_inverse(f)))
 
 
 def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:
@@ -437,7 +519,7 @@ def _perm_to_letters(images: Sequence[int]) -> tuple[int, ...]:
 
 def factor_words(nf: NormalForm) -> list[tuple[int, ...]]:
     """A positive word for each permutation-braid factor of a normal form."""
-    return [_perm_to_letters(f.images) for f in nf.factors]
+    return [_perm_to_letters(f) for f in nf.factors]
 
 
 def _swap_positions(p: tuple[int, ...], g: int) -> tuple[int, ...]:
@@ -486,7 +568,7 @@ def fixpoint_normal_form(w: BraidWord) -> NormalForm:
     inf = 0
     while inf < len(factors) and factors[inf] == delta:
         inf += 1
-    tail = tuple(Permutation(tuple(v + 1 for v in f)) for f in factors[inf:])
+    tail = tuple(tuple(v + 1 for v in f) for f in factors[inf:])
     return NormalForm(n, inf, tail)
 
 

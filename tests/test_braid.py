@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from _oracles import (
     conjugated_by,
+    cycles,
     destabilized,
     is_identity,
     letter_stats,
     permutation_inverse,
     stabilized,
+    strand_permutation,
     torus_braid,
     word_inverse,
     word_product,
@@ -18,7 +20,6 @@ from _oracles import (
 import tlinks.braid as braid_module
 from tlinks.braid import (
     BraidWord,
-    Permutation,
     braid_text,
     closure_pieces,
     parse_braid_text,
@@ -27,9 +28,10 @@ from tlinks.braid import (
 
 
 @st.composite
-def braid_words(draw, max_strands=5, max_letters=10, positive=False):
-    n = draw(st.integers(min_value=2, max_value=max_strands))
-    k = draw(st.integers(min_value=0, max_value=max_letters))
+def braid_words(draw, max_strands=5, max_letters=10, positive=False, min_strands=2):
+    n = draw(st.integers(min_value=min_strands, max_value=max_strands))
+    # one strand has no generator, so only the empty word
+    k = draw(st.integers(min_value=0, max_value=max_letters if n > 1 else 0))
     letters = []
     for _ in range(k):
         g = draw(st.integers(min_value=1, max_value=n - 1))
@@ -89,12 +91,14 @@ def test_word_validation():
 
 
 def test_permutation_examples():
-    assert BraidWord(3, (1, 2)).permutation().images == (2, 3, 1)
-    assert is_identity(BraidWord(2, (1, 1)).permutation())
+    assert strand_permutation(BraidWord(3, (1, 2))) == (2, 3, 1)
+    assert strand_permutation(BraidWord(3, (-1, 2))) == (2, 3, 1)
+    assert is_identity(strand_permutation(BraidWord(2, (1, 1))))
+    assert BraidWord(2, (1, 1)).component_count() == 2
     # (s1 s2 s3 s4)^2: the 5-cycle squared, again a 5-cycle
     w = BraidWord(5, (1, 2, 3, 4) * 2)
-    cycles = w.permutation().cycles()
-    assert len(cycles) == 1 and len(cycles[0]) == 5
+    assert cycles(strand_permutation(w)) == [(1, 3, 5, 2, 4)]
+    assert w.component_count() == 1
 
 
 def test_component_count_examples():
@@ -107,6 +111,13 @@ def test_component_count_gcd_exhaustive():
     for p in range(3, 13):
         for q in range(2, p):
             assert torus_braid(p, q).component_count() == gcd(p, q)
+
+
+@settings(max_examples=300)
+@given(braid_words(min_strands=1, max_strands=9, max_letters=30))
+def test_component_count_is_the_cycle_count(w):
+    # signed words on 1 to 9 strands, the empty word among them
+    assert w.component_count() == len(cycles(strand_permutation(w)))
 
 
 def test_letter_stats():
@@ -289,8 +300,8 @@ def test_conjugation_invariants(w, g):
     assert conj.component_count() == w.component_count()
     assert letter_stats(conj)[2] == letter_stats(w)[2]  # the exponent sums
     # conjugate permutations share their cycle type
-    assert sorted(len(c) for c in conj.permutation().cycles()) == sorted(
-        len(c) for c in w.permutation().cycles()
+    assert sorted(map(len, cycles(strand_permutation(conj)))) == sorted(
+        map(len, cycles(strand_permutation(w)))
     )
 
 
@@ -305,17 +316,19 @@ def test_destabilize_undoes_stabilize(w):
 def test_permutation_of_concat_is_composition(a, b):
     b = BraidWord(a.strands, tuple(e for e in b.letters if abs(e) < a.strands))
     # diagram order: the permutation of a first, then that of b
-    pa, pb = a.permutation(), b.permutation()
-    assert word_product(a, b).permutation() == Permutation(tuple(pa(i) for i in pb.images))
+    pa, pb = strand_permutation(a), strand_permutation(b)
+    composed = tuple(pa[i - 1] for i in pb)
+    assert strand_permutation(word_product(a, b)) == composed
+    assert word_product(a, b).component_count() == len(cycles(composed))
 
 
 def test_permutation_type():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
-    p = Permutation((2, 3, 1))
-    assert permutation_inverse(p).images == (3, 1, 2)
-    assert is_identity(Permutation(tuple(p(i) for i in permutation_inverse(p).images)))
-    assert p.cycles() == [(1, 2, 3)]
+    # permutations are 1-based image tuples, p[i-1] = image of i
+    p = (2, 3, 1)
+    assert permutation_inverse(p) == (3, 1, 2)
+    assert is_identity(tuple(p[i - 1] for i in permutation_inverse(p)))
+    assert cycles(p) == [(1, 2, 3)]
+    assert cycles((1, 3, 2, 4)) == [(1,), (2, 3), (4,)]
 
 
 def test_split_full_twists_edge_cases():

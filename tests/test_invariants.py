@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     PolyMatrix,
+    alexander_width,
     brute_jones,
     bucket_jones,
     burau_product,
@@ -25,6 +26,7 @@ from _oracles import (
     relation_closure,
     shifted,
     stabilized,
+    state_sum_width,
     t_power,
     torus_alexander_closed_form,
     torus_braid,
@@ -238,6 +240,50 @@ def test_burau_width_bounds_every_coefficient():
                 entry = matrix.entries[r][c]
                 assert all(abs(x) < 1 << k - 1 for _, x in entry.terms())
                 assert unpack(cols[c][r], k, 0) == entry
+
+
+def test_burau_width_is_pinned():
+    # K1 is the width of its bound B1 + B2, recomputed from a column-norm
+    # recurrence of the tests' own (_oracles.alexander_width).  The bound is
+    # not tight: at one bit less, every value and coefficient check of the
+    # suite still passes, so only this pin catches a narrower K1
+    rng = random.Random(20261020)
+    cases = [BraidWord(2, ()), BraidWord(3, (-1,)), BraidWord(5, (1, 2, 3, 4))]
+    for sign in (1, -1):
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            length = rng.randint(0, 60)
+            letters = tuple(rng.choice((1, sign)) * rng.randint(1, n - 1) for _ in range(length))
+            cases.append(BraidWord(n, letters))
+    for rest in cases:
+        for twists in (0, 1, 3):
+            _, k, _ = _alexander_columns(rest, twists)
+            assert k == alexander_width(rest, twists), (rest, twists)
+
+
+def test_state_sum_width_is_pinned(monkeypatch):
+    # the Kauffman state sum of each piece is unpacked at K = c + n + 1, the
+    # width of its bound B = 2^(c+n-1) (_oracles.state_sum_width), read off
+    # the one unpack each state sum makes.  The bound is not tight: at two
+    # bits less, every Jones value of the suite is still right, so only this
+    # pin catches a narrower K
+    widths = []
+
+    def recording(packed, k, low):
+        widths.append(k)
+        return unpack(packed, k, low)
+
+    monkeypatch.setattr(invariants, "unpack", recording)
+    rng = random.Random(27)
+    for n in range(1, 8):
+        for _ in range(6):
+            length = rng.randint(0, 14) if n > 1 else 0
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+            w = BraidWord(n, letters)
+            widths.clear()
+            c = bundle(w, guard=100)
+            assert c.jones == bucket_jones(w)
+            assert widths == [state_sum_width(p) for p in c.pieces if p.letters], w
 
 
 def test_alexander_matches_leibniz_oracle():

@@ -38,7 +38,7 @@ def test_readme_library_example_prints_its_comments():
 PUBLIC = [
     "BraidWord", "Certificate", "DEFAULT_JONES_GUARD", "DEFERRED_TO_LEE", "EXCEPTIONAL_FAMILY",
     "FullTwistForm", "INCONCLUSIVE", "INVALID_INPUT", "LaurentPoly",
-    "NOT_TORUS", "NOT_TORUS_LINK", "NormalForm", "Permutation", "SweepReport", "TLinkParseError",
+    "NOT_TORUS", "NOT_TORUS_LINK", "NormalForm", "SweepReport", "TLinkParseError",
     "TLinkSpec", "TORUS_MATCH", "Verdict", "absorb_strands", "alexander", "braid_text", "bundle",
     "certify", "classify_form", "classify_spec", "cross_validate", "enumerate_forms", "flip_base",
     "infimum", "jones", "markov_reduce", "normal_form", "parse_braid_text", "parse_tlink",
@@ -48,13 +48,12 @@ PUBLIC = [
 
 # names deleted because nothing in the package, the command line, the README
 # example or the benchmark called them, or because another name does their
-# job (InvariantBundle: invariants.Closure is the one record), by the module
-# or class that held them; those the tests still use are functions in
-# tests/_oracles.py
+# job (InvariantBundle: invariants.Closure is the one record; Permutation:
+# plain image tuples), by the module or class that held them; those the tests
+# still use are functions in tests/_oracles.py
 REMOVED = {
-    "braid": ["LetterStats", "torus_braid"],
-    "braid.Permutation": ["identity"],
-    "braid.BraidWord": ["concat", "letter_stats"],
+    "braid": ["LetterStats", "Permutation", "torus_braid"],
+    "braid.BraidWord": ["concat", "letter_stats", "permutation"],
     "classify": ["classify_pairs"],
     "garside": ["delta_word"],
     "garside.NormalForm": ["__str__"],
