@@ -137,8 +137,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     if form is None:
         raise _UsageError(f"{spec} is not of full-twist form over a torus base")
     steps = absorb_strands(form)
-    for j, step in enumerate(steps):
-        print(f"step {j}: {braid_text(step)}  [{len(step.letters)} letters]")
+    for j, word in enumerate(step.word() for step in steps):
+        print(f"step {j}: {braid_text(word)}  [{len(word.letters)} letters]")
     print(f"final word on {steps[-1].strands} strands")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ Three procedures operate on these words:
 
 * strand absorption: for q < a_n, pull the strand that travels once around
   the closure into the twisted block, one strand at a time, producing the
-  step words from the p-strand standard word down to an a_n-strand word;
+  steps from the p-strand standard presentation down to an a_n-strand one;
 * the base flip: for a_n < q, exchange the torus base (p, q) for (q, p),
   giving an equivalent T-link presented on q strands;
 * Markov reduction: trailing exponent-1 syllables collapse into the previous
@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .braid import BraidWord, Presentation, integer, syllables
+from .braid import Presentation, integer, syllables
 
 
 class TLinkParseError(ValueError):
@@ -158,25 +158,10 @@ def flip_base(form: FullTwistForm) -> TLinkSpec:
     return TLinkSpec(form.spec().pairs[:-1] + ((form.q, form.p),))
 
 
-def _absorption_steps(form: FullTwistForm, first: int) -> list[Presentation]:
-    """Steps first..p - a_n of absorb_strands, the twist syllables written once.
+def absorb_strands(form: FullTwistForm) -> tuple[Presentation, ...]:
+    """The steps of the strand absorption for q < a_n < p, step j on p - j strands.
 
-    Step j puts the base (p - j, q) behind j blocks; at the last step,
-    p - j = a_n, the base syllable merges into the a_n block.
-    """
-    p, q = form.base
-    block = tuple(range(form.a_max - 1, form.a_max - q, -1))
-    *head, (a, s) = ((r, t * r) for r, t in form.twist_pairs)
-    twists = syllables(head)
-    written = twists + syllables([(a, s)])
-    steps = [Presentation(block * j + written, p - j, q) for j in range(first, p - a)]
-    return steps + [Presentation(block * (p - a) + twists, a, s + q)]
-
-
-def absorb_strands(form: FullTwistForm) -> tuple[BraidWord, ...]:
-    """The words of the strand absorption for q < a_n < p, step j on p - j strands.
-
-    Step j (0 <= j <= p - a_n) is the word on p - j strands
+    Step j (0 <= j <= p - a_n) is the braid on p - j strands
 
         (sigma_{a_n-1}...sigma_{a_n-q+1})^j
         (sigma_1...sigma_{a_1-1})^{s_1 a_1} ... (sigma_1...sigma_{a_n-1})^{s_n a_n}
@@ -186,12 +171,22 @@ def absorb_strands(form: FullTwistForm) -> tuple[BraidWord, ...]:
     the twisted block, trading one strand and one crossing; the closure's
     link type is unchanged, which callers verify through invariants.  The
     last step merges the leftover base syllable into the a_n-strand block,
-    whose exponent becomes s_n a_n + q > a_n, so the final word carries a
+    whose exponent becomes s_n a_n + q > a_n, so the final braid carries a
     full twist on a_n strands.
+
+    Each step is a Presentation, its base syllable (p - j, q) or, at the
+    last step, (a_n, s_n a_n + q) kept as parameters: a step is written out
+    only when a caller reads its letters (Presentation.word()).
     """
-    if not form.q < form.a_max:
-        raise ValueError(f"absorption requires q < a_n, got q = {form.q}, a_n = {form.a_max}")
-    return tuple(step.word() for step in _absorption_steps(form, 0))
+    p, q = form.base
+    *head, (a, s) = ((r, t * r) for r, t in form.twist_pairs)
+    if not q < a:
+        raise ValueError(f"absorption requires q < a_n, got q = {q}, a_n = {a}")
+    block = tuple(range(a - 1, a - q, -1))
+    twists = syllables(head)
+    written = twists + syllables([(a, s)])
+    steps = tuple(Presentation(block * j + written, p - j, q) for j in range(p - a))
+    return steps + (Presentation(block * (p - a) + twists, a, s + q),)
 
 
 def presentation(form: FullTwistForm) -> Presentation:
@@ -202,10 +197,11 @@ def presentation(form: FullTwistForm) -> Presentation:
     (q < a_n) ends in the syllable (a_n, s_n a_n + q) and the base flip
     (a_n < q) in (q, p); either exponent exceeds the strand count, so the
     closure carries a full twist.  FullTwistForm rejects a_n = q, so one of
-    the two applies.
+    the two applies.  Either way the result is a Presentation, so its full
+    twists split off by divmod and no step of the absorption is written out.
     """
     if form.q < form.a_max:
-        return _absorption_steps(form, form.p - form.a_max)[0]
+        return absorb_strands(form)[-1]
     return standard_presentation(flip_base(form))
 
 

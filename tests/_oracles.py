@@ -10,7 +10,8 @@ determinants by Leibniz expansion, permanents as a sum over permutations,
 polynomial division by the schoolbook method on dense coefficient lists,
 values at a point as exact fractions, the digit widths of the Alexander
 columns and of the Kauffman state sum from their own bounds, the strand
-permutation by following each strand down the word, the Garside normal form by
+permutation by following each strand down the word, the steps of the strand
+absorption letter by letter from their formula, the Garside normal form by
 left-weighting every adjacent pair until nothing changes, braid-word
 equivalence by closing the word under commutation and braid relations,
 torus candidate parameters by direct integer enumeration, and sweep reports
@@ -45,7 +46,7 @@ from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
 from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
 from tlinks.oracle import SweepReport
-from tlinks.tlink import TLinkSpec, standard_presentation
+from tlinks.tlink import FullTwistForm, TLinkSpec, standard_presentation
 
 _DELTA_A = LaurentPoly({2: -1, -2: -1})
 
@@ -419,6 +420,35 @@ def torus_braid(p: int, q: int) -> BraidWord:
 def standard_braid(spec: TLinkSpec) -> BraidWord:
     """The defining positive braid of the T-link, on r_k strands, written out."""
     return standard_presentation(spec).word()
+
+
+def absorbed_braid(form: FullTwistForm, j: int) -> BraidWord:
+    """Step j of the strand absorption of form, written letter by letter.
+
+    The braid on p - j strands
+
+        (sigma_{a_n-1}...sigma_{a_n-q+1})^j
+        (sigma_1...sigma_{a_1-1})^{s_1 a_1} ... (sigma_1...sigma_{a_n-1})^{s_n a_n}
+        (sigma_1...sigma_{p-1-j})^q,
+
+    the formula of the tlink.absorb_strands docstring, for 0 <= j <= p - a_n.
+    The last step needs no merge here: its base run (sigma_1...sigma_{a_n-1})^q
+    follows the a_n-strand block letter for letter.
+    """
+    p, q = form.base
+    a_n = form.a_max
+    letters = []
+    for _ in range(j):
+        for e in range(a_n - 1, a_n - q, -1):
+            letters.append(e)
+    for a, s in form.twist_pairs:
+        for _ in range(s * a):
+            for e in range(1, a):
+                letters.append(e)
+    for _ in range(q):
+        for e in range(1, p - j):
+            letters.append(e)
+    return BraidWord(p - j, tuple(letters))
 
 
 def delta_word(n: int) -> BraidWord:

@@ -53,7 +53,7 @@ def test_criterion_absorption_trace_validity():
     forms = [f for f in enumerate_forms(9, max_n=2, max_s=2) if f.q < f.a_max]
     assert len(forms) == 672
     for form in forms:
-        steps = absorb_strands(form)
+        steps = [s.word() for s in absorb_strands(form)]
         first = steps[0]
         base_alex = alexander(first)
         base_components = first.component_count()

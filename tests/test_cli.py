@@ -85,6 +85,24 @@ def test_rewrite_rejects_oversized_input_before_work(capsys, monkeypatch):
     )
 
 
+def test_rewrite_with_two_twist_pairs(capsys):
+    # n = 2: every step writes the a_1 syllable too, and the absorbed block
+    # (3, 2) grows by one run per step
+    code, out, _ = run(capsys, "rewrite", "T((2,2),(4,8),(7,3))")
+    assert code == EXIT_OK
+    assert out == (
+        "step 0: n=7: 1,1,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,4,5,6,"
+        "1,2,3,4,5,6,1,2,3,4,5,6  [44 letters]\n"
+        "step 1: n=6: 3,2,1,1,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,4,5,"
+        "1,2,3,4,5,1,2,3,4,5  [43 letters]\n"
+        "step 2: n=5: 3,2,3,2,1,1,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,4,"
+        "1,2,3,4,1,2,3,4  [42 letters]\n"
+        "step 3: n=4: 3,2,3,2,3,2,1,1,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,1,2,3,"
+        "1,2,3,1,2,3  [41 letters]\n"
+        "final word on 4 strands\n"
+    )
+
+
 def test_rewrite_requires_absorption_shape(capsys):
     code, _, err = run(capsys, "rewrite", "T((2,2),(5,3))")
     assert code == EXIT_USAGE

@@ -635,7 +635,7 @@ def test_euler_char():
 
 def test_euler_char_constant_along_trace():
     steps = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))
-    values = {closure(s).euler_char for s in steps}
+    values = {closure(s.word()).euler_char for s in steps}
     assert values == {-9}
 
 

@@ -52,7 +52,7 @@ def test_candidate_examples():
     b = bundle(torus_braid(3, 2))
     assert candidates(b) == [(3, 2)]
     # components 1, chi = -9: enumeration gives (11,2) and (6,3); gcd drops (6,3)
-    rewritten = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1]
+    rewritten = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1].word()
     assert candidates(bundle(rewritten)) == [(11, 2)]
     # components 2, chi = 0
     b22 = bundle(torus_braid(2, 2))
@@ -75,7 +75,7 @@ def test_certify_self_recognition():
 
 
 def test_certify_rewritten_word_eliminated_by_braid_index():
-    w = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1]
+    w = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1].word()
     cert = certify(w)
     assert cert.kind == NOT_TORUS
     reasons = {(c.p, c.q): c.reason for c in cert.candidates}
@@ -216,7 +216,7 @@ def test_certify_rejects_negative_words():
 
 
 def test_guard_monotonicity():
-    w = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1]
+    w = absorb_strands(FullTwistForm(((3, 1),), (5, 2)))[-1].word()
     low = certify(w, guard=4)
     high = certify(w, guard=40)
     assert low.kind == high.kind == NOT_TORUS

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import destabilized, standard_braid
+from _oracles import absorbed_braid, destabilized, standard_braid
 from tlinks.braid import BraidWord, split_full_twists
 from tlinks.invariants import alexander, closure, syllable_closure
 from tlinks.oracle import enumerate_forms
@@ -103,7 +103,7 @@ def test_flip_base():
 
 def test_absorb_strands_trace():
     f = FullTwistForm(((3, 1),), (5, 2))
-    steps = absorb_strands(f)
+    steps = [s.word() for s in absorb_strands(f)]
     assert [s.strands for s in steps] == [5, 4, 3]
     assert steps[-1].letters == (2, 2) + (1, 2) * 5
     # one crossing absorbed per strand, so chi is constant along the steps
@@ -117,7 +117,7 @@ def test_absorb_strands_trace():
 def test_absorb_letter_count_identity():
     # q(p-1) + sum s_i a_i (a_i - 1) letters at the start, one fewer per step
     f = FullTwistForm(((2, 1), (4, 2)), (7, 3))
-    steps = absorb_strands(f)
+    steps = [s.word() for s in absorb_strands(f)]
     first = len(steps[0].letters)
     assert first == 3 * 6 + 1 * 2 * 1 + 2 * 4 * 3
     for j, step in enumerate(steps):
@@ -155,9 +155,9 @@ def _split(p):
 
 
 def _written(form):
-    """The presentation of form, written out by absorb_strands or by flip_base and standard_braid."""
+    """The presentation of form, written out by absorbed_braid or by flip_base and standard_braid."""
     if form.q < form.a_max:
-        return absorb_strands(form)[-1]
+        return absorbed_braid(form, form.p - form.a_max)
     return standard_braid(flip_base(form))
 
 
@@ -170,6 +170,18 @@ def test_presentation_splits_as_its_written_word():
         p = presentation(form)
         assert p.word() == _written(form), form
         assert p.exponent > p.strands  # so the closure carries a full twist
+
+
+def test_absorption_steps_are_the_written_steps():
+    # every step, not only the last one that presentation reads, against the
+    # tests' own writer
+    forms = [f for f in enumerate_forms(9, 2, 2) if f.q < f.a_max]
+    assert len(forms) == 672
+    for form in forms:
+        steps = absorb_strands(form)
+        assert len(steps) == form.p - form.a_max + 1, form
+        for j, step in enumerate(steps):
+            assert step.word() == absorbed_braid(form, j), (form, j)
 
 
 def test_syllable_closure_reads_the_split():
@@ -218,7 +230,7 @@ def test_small_traces_and_flips_preserve_jones():
     checked = 0
     for form in enumerate_forms(8, max_n=2, max_s=2):
         if form.q < form.a_max:
-            steps = absorb_strands(form)
+            steps = [s.word() for s in absorb_strands(form)]
             if len(steps[0].letters) <= 26:
                 values = [jones(s, guard=26) for s in steps]
                 assert all(v is not None and v == values[0] for v in values), form
