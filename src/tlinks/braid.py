@@ -5,12 +5,15 @@ A braid word on n strands is an ordered sequence of nonzero letters e with
 Strand positions are 1-based and letters act left to right; closures join the
 bottom of each position to the top of the same position.  This one global
 composition convention is shared by every module that consumes braid words.
+
+BraidWord and Presentation are immutable NamedTuples: each equals the plain
+tuple of its fields and iterates as one.  A BraidWord checks its letters
+when it is made.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 from operator import index
 from typing import NamedTuple
@@ -28,31 +31,40 @@ def integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the braid group on `strands` strands."""
-
+class _BraidWordFields(NamedTuple):
     strands: int
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "strands", integer(self.strands, "strand count"))
-        if self.strands < 1:
+
+class BraidWord(_BraidWordFields):
+    """A word in the braid group on `strands` strands.
+
+    An immutable NamedTuple, checked when it is made: it equals the plain
+    tuple (strands, letters) and iterates as one, but len() counts its
+    letters.  NamedTuple's _make and _replace call len(), so they are not
+    used on a BraidWord.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters: tuple[int, ...]):
+        strands = integer(strands, "strand count")
+        if strands < 1:
             raise ValueError("strand count must be at least 1")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(letters)
         # max, min, `in` and sum run at C speed, and a sum of ints is an int
         # (2.0 makes it a float); the letters are walked only to name the
         # first bad one
-        top = self.strands - 1
+        top = strands - 1
         if letters and (
             max(letters) > top or min(letters) < -top or 0 in letters or type(sum(letters)) is not int
         ):
             for pos, e in enumerate(letters):
                 if integer(e, f"letter at index {pos}") == 0 or abs(e) > top:
                     raise ValueError(
-                        f"letter {e} at index {pos} out of range for {self.strands} strands"
+                        f"letter {e} at index {pos} out of range for {strands} strands"
                     )
+        return tuple.__new__(cls, (strands, letters))
 
     def __len__(self) -> int:
         return len(self.letters)

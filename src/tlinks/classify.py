@@ -15,13 +15,14 @@ The decision tree, on inputs T((a_1,s_1a_1),...,(a_n,s_na_n),(p,q)) with
   the exceptional family, where no claim is made either way.
 
 Each negative verdict carries the citation tag of the rule that fired, so
-reports stay auditable against the source theorem.
+reports stay auditable against the source theorem.  A Verdict is an
+immutable NamedTuple (kind, rule, details).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .tlink import FullTwistForm, TLinkSpec, reduce_tlink
 
@@ -36,8 +37,7 @@ RULE_RESIDUE = "Prop 2.8"
 RULE_ALL_TWISTED = "Cor 2.9"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Classifier outcome with the rule tag that produced it."""
 
     kind: str

@@ -17,12 +17,13 @@ the right by one of them at a time, with one right-to-left pass.
 Factors are 1-based image tuples f, f[i-1] = image of position i.  Inside
 normal_form permutations are 0-based image lists p with p[i] = image of
 position i, composed in diagram order (left word acts first), each kept with
-its inverse list so that moving one generator costs O(1).
+its inverse list so that moving one generator costs O(1).  The result, a
+NormalForm, is an immutable NamedTuple (strands, infimum, factors).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import BraidWord
 
@@ -60,8 +61,7 @@ def _left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bo
     return grew
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Left-weighted factorization Delta^infimum * factors of a positive word."""
 
     strands: int

@@ -19,6 +19,10 @@ available and agreed for exactly one candidate, an invariant-level match
 rather than a proof of isotopy; Inconclusive records survivors with missing
 comparisons; NotTorus means every candidate was eliminated by an exact
 mismatch, which stands regardless of guard size.
+
+CandidateResult, Certificate and SweepReport are immutable NamedTuples.  A
+SweepRow is immutable too, but a class with slots, so that a consumer can
+hold rows by weak reference.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
 from math import gcd, isqrt
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
 from .braid import BraidWord
 from .classify import NOT_TORUS_LINK, Verdict, classify_form
@@ -47,15 +51,13 @@ REASON_JONES = "jonesMismatch"
 REASON_MATCHED = "matched"
 
 
-@dataclass(frozen=True)
-class CandidateResult:
+class CandidateResult(NamedTuple):
     p: int
     q: int
     reason: str
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     candidates: tuple[CandidateResult, ...]
     guard_hit: bool
@@ -146,24 +148,63 @@ def certify(w: BraidWord, guard: int = DEFAULT_JONES_GUARD) -> Certificate:
 # -- classifier-versus-oracle sweep -------------------------------------------
 
 
-@dataclass(frozen=True)
+_ROW_FIELDS = ("index", "text", "spec", "form", "verdict", "certificate", "invariants", "timing_ms")
+_row_values = attrgetter(*_ROW_FIELDS)
+
+
 class SweepRow:
-    index: int
-    text: str
-    spec: TLinkSpec
-    form: FullTwistForm
-    verdict: Verdict
-    certificate: Certificate
-    invariants: Closure
-    timing_ms: int
+    """One row of a sweep: a form, its verdict and the certificate of its presentation.
+
+    Immutable like the other records, but a class with slots, not a
+    NamedTuple, so that a row can be weakly referenced, which a tuple cannot.
+    Two rows are equal when their fields are; pickling rebuilds a row from
+    its fields, as rows come back from sweep workers.
+    """
+
+    __slots__ = _ROW_FIELDS + ("__weakref__",)
+
+    def __init__(
+        self,
+        index: int,
+        text: str,
+        spec: TLinkSpec,
+        form: FullTwistForm,
+        verdict: Verdict,
+        certificate: Certificate,
+        invariants: Closure,
+        timing_ms: int,
+    ):
+        values = (index, text, spec, form, verdict, certificate, invariants, timing_ms)
+        for name, value in zip(_ROW_FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SweepRow, _row_values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _row_values(self) == _row_values(other)
+
+    def __hash__(self):
+        return hash(_row_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_ROW_FIELDS, _row_values(self)))
+        return f"SweepRow({fields})"
 
     @property
     def contradiction(self) -> bool:
         return self.verdict.kind == NOT_TORUS_LINK and self.certificate.kind == TORUS_MATCH
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     params: tuple[tuple[str, int], ...]
     rows: tuple[SweepRow, ...]
 

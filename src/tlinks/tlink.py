@@ -22,12 +22,15 @@ Three procedures operate on these words:
   giving an equivalent T-link presented on q strands;
 * Markov reduction: trailing exponent-1 syllables collapse into the previous
   pair, destabilizing the closure presentation without changing the link.
+
+TLinkSpec and FullTwistForm are immutable NamedTuples that check their
+parameters when made; each equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import Presentation, integer, syllables
 
@@ -40,24 +43,27 @@ class TLinkParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class TLinkSpec:
-    """Parameter pairs (r_i, s_i) of a T-link."""
-
+class _TLinkSpecFields(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        pairs = tuple((integer(r, "r"), integer(s, "s")) for r, s in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not self.pairs:
+
+class TLinkSpec(_TLinkSpecFields):
+    """Parameter pairs (r_i, s_i) of a T-link, an immutable NamedTuple checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple((integer(r, "r"), integer(s, "s")) for r, s in pairs)
+        if not pairs:
             raise ValueError("a T-link needs at least one pair")
-        if self.pairs[0][0] < 2:
+        if pairs[0][0] < 2:
             raise ValueError("r-values must be at least 2")
-        for (r1, _), (r2, _) in zip(self.pairs, self.pairs[1:]):
+        for (r1, _), (r2, _) in zip(pairs, pairs[1:]):
             if r2 <= r1:
                 raise ValueError("r-values must be strictly increasing")
-        if any(s < 1 for _, s in self.pairs):
+        if any(s < 1 for _, s in pairs):
             raise ValueError("s-values must be at least 1")
+        return tuple.__new__(cls, (pairs,))
 
     @property
     def strands(self) -> int:
@@ -67,23 +73,27 @@ class TLinkSpec:
         return render_tlink(self)
 
 
-@dataclass(frozen=True)
-class FullTwistForm:
-    """Full twists on a_1 < ... < a_n strands over a torus base (p, q)."""
-
+class _FullTwistFormFields(NamedTuple):
     twist_pairs: tuple[tuple[int, int], ...]
     base: tuple[int, int]
 
-    def __post_init__(self):
-        pairs = tuple((integer(a, "a"), integer(s, "s")) for a, s in self.twist_pairs)
-        object.__setattr__(self, "twist_pairs", pairs)
-        object.__setattr__(self, "base", (integer(self.base[0], "p"), integer(self.base[1], "q")))
-        p, q = self.base
-        if not self.twist_pairs:
+
+class FullTwistForm(_FullTwistFormFields):
+    """Full twists on a_1 < ... < a_n strands over a torus base (p, q).
+
+    An immutable NamedTuple (twist_pairs, base), checked when made.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, twist_pairs: tuple[tuple[int, int], ...], base: tuple[int, int]):
+        twist_pairs = tuple((integer(a, "a"), integer(s, "s")) for a, s in twist_pairs)
+        p, q = base = (integer(base[0], "p"), integer(base[1], "q"))
+        if not twist_pairs:
             raise ValueError("at least one twist pair is required")
         if not 1 < q < p:
             raise ValueError(f"base requires 1 < q < p, got (p, q) = ({p}, {q})")
-        a_values = [a for a, _ in self.twist_pairs]
+        a_values = [a for a, _ in twist_pairs]
         if a_values[0] <= 1:
             raise ValueError("twist strand counts must exceed 1")
         if any(a2 <= a1 for a1, a2 in zip(a_values, a_values[1:])):
@@ -92,8 +102,9 @@ class FullTwistForm:
             raise ValueError("twist strand counts must stay below p")
         if any(a == q for a in a_values):
             raise ValueError(f"twist strand count equal to q = {q} is not supported")
-        if any(s < 1 for _, s in self.twist_pairs):
+        if any(s < 1 for _, s in twist_pairs):
             raise ValueError("twist counts must be at least 1")
+        return tuple.__new__(cls, (twist_pairs, base))
 
     @property
     def n(self) -> int:
@@ -179,14 +190,26 @@ def absorb_strands(form: FullTwistForm) -> tuple[Presentation, ...]:
     only when a caller reads its letters (Presentation.word()).
     """
     p, q = form.base
+    a, t = form.twist_pairs[-1]
+    block, twists, last = _absorption(form)
+    written = twists + syllables([(a, t * a)])
+    return tuple(Presentation(block * j + written, p - j, q) for j in range(p - a)) + (last,)
+
+
+def _absorption(form: FullTwistForm) -> tuple[tuple[int, ...], tuple[int, ...], Presentation]:
+    """(block, twists, last) of the strand absorption; requires q < a_n.
+
+    block is the run sigma_{a_n-1}...sigma_{a_n-q+1} that each step adds,
+    twists the letters of the twist pairs before the last, and last the
+    final step, the one presentation reads.
+    """
+    p, q = form.base
     *head, (a, s) = ((r, t * r) for r, t in form.twist_pairs)
     if not q < a:
         raise ValueError(f"absorption requires q < a_n, got q = {q}, a_n = {a}")
     block = tuple(range(a - 1, a - q, -1))
     twists = syllables(head)
-    written = twists + syllables([(a, s)])
-    steps = tuple(Presentation(block * j + written, p - j, q) for j in range(p - a))
-    return steps + (Presentation(block * (p - a) + twists, a, s + q),)
+    return block, twists, Presentation(block * (p - a) + twists, a, s + q)
 
 
 def presentation(form: FullTwistForm) -> Presentation:
@@ -198,10 +221,11 @@ def presentation(form: FullTwistForm) -> Presentation:
     (a_n < q) in (q, p); either exponent exceeds the strand count, so the
     closure carries a full twist.  FullTwistForm rejects a_n = q, so one of
     the two applies.  Either way the result is a Presentation, so its full
-    twists split off by divmod and no step of the absorption is written out.
+    twists split off by divmod, no step of the absorption is written out, and
+    only the last step is built.
     """
     if form.q < form.a_max:
-        return absorb_strands(form)[-1]
+        return _absorption(form)[2]
     return standard_presentation(flip_base(form))
 
 

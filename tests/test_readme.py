@@ -83,3 +83,15 @@ def test_public_surface():
         assert not set(names) & set(vars(holder)), where
     assert list(inspect.signature(tlinks.poly_text).parameters) == ["p", "quarter_exponents"]
     assert list(inspect.signature(tlinks.oracle.certify_bundle).parameters) == ["b"]
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples, so neither the package nor its command
+    # line loads dataclasses, or inspect with its ast, dis and tokenize;
+    # pytest loads both, so a fresh interpreter checks, with no site hooks
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, tlinks, tlinks.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
