@@ -202,7 +202,7 @@ def _alexander_columns(rest: BraidWord, twists: int) -> tuple[list[list[int]], i
 def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
     """Unit-normalized one-variable Alexander polynomial of the closure of Delta^(2 twists) w.
 
-    Zero (the empty map) for split closures such as unlinks; otherwise the
+    Zero (no coefficients) for split closures such as unlinks; otherwise the
     lowest exponent is 0 and the lowest coefficient positive.  The braid is
     Delta^(2j) rest with j = twists and rest = w; w is neither scanned for
     more full twists nor reduced (Closure passes a split or reduced word).
@@ -366,9 +366,10 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     each bucket is an integer packed at u = 2^K (see laurent.unpack) and each
     smoothing a shift by 0, K or 2K bits.  A bucket closing to L loops gets
     the loop value to the L-1, padded by u^(n-1) to (-1)^(L-1) (1 + u^2)^(L-1)
-    u^(n-L).  The sum is unpacked once; u^e becomes quarter exponent 2e, less
-    the padding 2(n-1) and the offsets 2c - writhe of the c crossings, plus
-    the normalization 3 writhe.
+    u^(n-L).  The sum is unpacked once, and its u-digits go to every second
+    place of one dense list of quarter exponents: u^e becomes quarter
+    exponent 2e, less the padding 2(n-1) and the offsets 2c - writhe of the
+    c crossings, plus the normalization 3 writhe.
 
     One letter.  The vertical terms keep every bucket's matching, so the new
     buckets start as one copy of the old ones, times u^(1-s): dict.copy for
@@ -453,7 +454,10 @@ def _state_sum(w: BraidWord) -> LaurentPoly:
     writhe = 2 * sum(e > 0 for e in w.letters) - c
     offset = 4 * writhe - 2 * c - 2 * (n - 1)
     sign = -1 if writhe % 2 else 1
-    return LaurentPoly({2 * e + offset: sign * d for e, d in unpack(packed, k, 0).terms()})
+    u = unpack(packed, k, 0)
+    quarters = [0] * (2 * len(u.coeffs) - 1)
+    quarters[::2] = [sign * d for d in u.coeffs]
+    return LaurentPoly.from_digits(2 * u.low + offset, quarters)
 
 
 def jones(w: BraidWord, guard: int = DEFAULT_JONES_GUARD, twists: int = 0) -> LaurentPoly | None:

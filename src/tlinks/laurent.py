@@ -1,10 +1,20 @@
 """Exact one-variable Laurent polynomials over the integers.
 
-Coefficients are arbitrary-precision Python ints and the representation is a
-sparse map from exponent to nonzero coefficient, so polynomial equality is
-exact and cheap.  It holds the Alexander and Jones values; the Burau
+Coefficients are arbitrary-precision Python ints, and a value is stored
+densely: its lowest exponent and the tuple of its coefficients from there up
+to its highest term, both end coefficients nonzero, so polynomial equality
+is exact and cheap.  It holds the Alexander and Jones values; the Burau
 product, the Alexander determinant and the Kauffman state sum run on packed
-integers and meet this type only when their result is unpacked.
+integers, and their digit lists become this type as they are unpacked.
+
+A value's size is the span of its degree, not the count of its terms, and
+the letters of its braid bound that span.  For c letters on n strands, an
+Alexander value spans at most c - n + 1 powers of t, the first Betti number
+of the Seifert surface of the closed braid, and a Jones value at most
+c + n - 1 (Kauffman's bound c on each split piece, plus one per piece past
+the first), so at most 4(c + n - 1) + 1 places in quarter exponents.  The
+command line admits at most cli.MAX_LETTERS letters.  This is what a caller
+that keeps results, such as cross_validate, holds per value.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
@@ -20,7 +30,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import prod
 from operator import sub
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 class InexactDivisionError(ValueError):
@@ -30,68 +40,87 @@ class InexactDivisionError(ValueError):
 class LaurentPoly:
     """A Laurent polynomial sum(c_k * t^k) with integer coefficients.
 
-    Immutable by convention: no method mutates an existing instance.
-    The zero polynomial is the empty map.
+    low is the lowest exponent and coeffs the coefficients of t^low,
+    t^(low+1), ... up to the highest term, the first and last nonzero; the
+    zero polynomial is (0, ()).  Immutable by convention: no method mutates
+    an existing instance.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("low", "coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+        terms = {e: c for e, c in (coeffs or {}).items() if c}
+        self.low = low = min(terms, default=0)
+        self.coeffs = tuple(terms.get(e, 0) for e in range(low, max(terms, default=-1) + 1))
+
+    @classmethod
+    def from_digits(cls, low: int, digits: Sequence[int]) -> "LaurentPoly":
+        """sum(digits[i] * t^(low + i)), its zero digits at either end trimmed."""
+        end = len(digits)
+        while end and not digits[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not digits[start]:
+            start += 1
+        p = object.__new__(cls)
+        p.low, p.coeffs = (low + start, tuple(digits[start:end])) if end else (0, ())
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls.from_digits(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls.from_digits(0, (1,))
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coeffs
 
     def terms(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self._coeffs.items())
+        """(exponent, coefficient) pairs of the nonzero terms in ascending exponent order."""
+        return [(e, c) for e, c in enumerate(self.coeffs, self.low) if c]
 
     @property
     def min_exp(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no minimal exponent")
-        return min(self._coeffs)
+        return self.low
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low)
+        for p in (self, other):
+            for i, c in enumerate(p.coeffs, p.low - low):
+                out[i] += c
+        return LaurentPoly.from_digits(low, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly.from_digits(self.low, [-c for c in self.coeffs])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(out)
+        if not self.coeffs:
+            return self
+        if not other.coeffs:
+            return other
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, c1 in enumerate(self.coeffs):
+            if c1:
+                for j, c2 in enumerate(other.coeffs, i):
+                    out[j] += c1 * c2
+        return LaurentPoly.from_digits(self.low + other.low, out)
 
     def unit_normalized(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.
@@ -101,19 +130,18 @@ class LaurentPoly:
         """
         if self.is_zero:
             raise ValueError("the zero polynomial has no unit normalization")
-        m = self.min_exp
-        sign = 1 if self._coeffs[m] > 0 else -1
-        return LaurentPoly({e - m: sign * c for e, c in self._coeffs.items()})
+        coeffs = self.coeffs if self.coeffs[0] > 0 else [-c for c in self.coeffs]
+        return LaurentPoly.from_digits(0, coeffs)
 
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.low == other.low and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self.low, self.coeffs))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -122,7 +150,7 @@ class LaurentPoly:
         return poly_text(self)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
+        return f"LaurentPoly({dict(self.terms())!r})"
 
 
 def poly_text(p: LaurentPoly, quarter_exponents: bool = False) -> str:
@@ -208,7 +236,7 @@ def unpack(value: int, k: int, low: int) -> LaurentPoly:
 
     Its coefficients are the balanced digits of value (see balanced_digits).
     """
-    return LaurentPoly(dict(enumerate(balanced_digits(value, k), low)))
+    return LaurentPoly.from_digits(low, balanced_digits(value, k))
 
 
 def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
@@ -246,7 +274,7 @@ def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
     quotient = q[:-n]
     if any(q[-n:]) or max(map(abs, quotient), default=0) > 2 * bound:
         raise InexactDivisionError("polynomial division is not exact")
-    return LaurentPoly(dict(enumerate(quotient)))
+    return LaurentPoly.from_digits(0, quotient)
 
 
 def _sign(order: list[int]) -> int:

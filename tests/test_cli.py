@@ -117,6 +117,10 @@ def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "n=2: 1,1,1")
     assert code == EXIT_OK
     assert "components:  1" in out
+    # the Hopf link: a two-component Jones value in half-integer powers of t
+    code, out, _ = run(capsys, "invariants", "n=2: 1,1")
+    assert code == EXIT_OK
+    assert "jones:       -t^(1/2) - t^(5/2)" in out.splitlines()
 
 
 def test_certify_command(capsys):
@@ -452,7 +456,9 @@ def test_sweep_command_streams_the_whole_document(tmp_path, capsys, jobs):
 
 def test_sweep_keeps_a_bounded_number_of_rows_alive(tmp_path, capsys, monkeypatch):
     # each row is tallied, written to both reports and dropped before long:
-    # while the 260 rows of p <= 7 are made, only a few are alive at once
+    # while the 260 rows of p <= 7 are made, only a few are alive at once.
+    # A row is a tuple, which takes no weak reference, so the check follows
+    # its closure, which a live row keeps alive
     refs = []
     most = 0
     real = oracle._sweep_row
@@ -460,7 +466,7 @@ def test_sweep_keeps_a_bounded_number_of_rows_alive(tmp_path, capsys, monkeypatc
     def tracked(args):
         nonlocal most
         row = real(args)
-        refs.append(weakref.ref(row))
+        refs.append(weakref.ref(row.invariants))
         most = max(most, sum(ref() is not None for ref in refs))
         return row
 

@@ -598,6 +598,22 @@ def test_jones_takes_twists_as_alexander_does(w, twists, positive, guard):
     assert jones(w, guard, twists) == jones(whole, guard)
 
 
+@settings(max_examples=100, deadline=None)
+@given(words(max_strands=6, max_letters=14), st.integers(0, 1), st.booleans())
+def test_polynomial_spans_are_bounded_by_the_letters(w, twists, positive):
+    # the size of a stored value (see the laurent module): for c letters on n
+    # strands, Alexander spans at most c - n + 1 powers of t and Jones at most
+    # c + n - 1, 4(c + n - 1) in quarter exponents
+    n = w.strands
+    if positive:
+        w = BraidWord(n, tuple(map(abs, w.letters)))
+    b = invariants.Closure(w, twists, 10**6).bundle()
+    c = b.letters
+    if b.alexander:
+        assert len(b.alexander.coeffs) - 1 <= c - n + 1
+    assert len(b.jones.coeffs) - 1 <= 4 * (c + n - 1)
+
+
 def test_jones_guard_counts_twists_before_writing_them(monkeypatch):
     rest = BraidWord(4, (1, -2))
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import prod
 
@@ -37,11 +38,12 @@ def P(coeffs):
     return LaurentPoly(coeffs)
 
 
-small_polys = st.dictionaries(
+small_maps = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-6, max_value=6),
     max_size=5,
-).map(LaurentPoly)
+)
+small_polys = small_maps.map(LaurentPoly)
 
 
 def test_add_examples():
@@ -298,3 +300,36 @@ def test_normalize_unit_insensitive(p, k, flip):
     unit = LaurentPoly({k: -1 if flip else 1})
     assert (p * unit).unit_normalized() == p.unit_normalized()
     assert p.unit_normalized().unit_normalized() == p.unit_normalized()
+
+
+@settings(max_examples=150)
+@given(small_maps, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_dense_form_of_a_mapping(coeffs, pad_low, pad_high):
+    # a value is its lowest exponent and the coefficients from there to its
+    # highest term, both end coefficients nonzero; zero is (0, ())
+    p = LaurentPoly(coeffs)
+    nonzero = {e: c for e, c in coeffs.items() if c}
+    if nonzero:
+        assert p.coeffs[0] and p.coeffs[-1] and p.low == min(nonzero)
+        assert len(p.coeffs) == max(nonzero) - min(nonzero) + 1
+    else:
+        assert (p.low, p.coeffs) == (0, ())
+    # the digit list with zero ends added gives the same value and hash
+    low = min(coeffs, default=0) - pad_low
+    digits = [coeffs.get(e, 0) for e in range(low, max(coeffs, default=-1) + 1)] + [0] * pad_high
+    q = LaurentPoly.from_digits(low, digits)
+    assert q == p and hash(q) == hash(p)
+    assert q.terms() == sorted(nonzero.items())
+    # repr keeps the mapping form
+    assert repr(p) == f"LaurentPoly({dict(sorted(nonzero.items()))!r})"
+
+
+@settings(max_examples=100)
+@given(small_polys, small_polys)
+def test_equal_values_hash_equally_and_pickle(a, b):
+    assert (a == b) == ((a.low, a.coeffs) == (b.low, b.coeffs))
+    total = a + b
+    again = b + a
+    assert again == total and hash(again) == hash(total)
+    loaded = pickle.loads(pickle.dumps(total))
+    assert type(loaded) is LaurentPoly and loaded == total and hash(loaded) == hash(total)

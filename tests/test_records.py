@@ -1,14 +1,12 @@
 """The records of the package: immutable, hashable, picklable, and checked when made.
 
 BraidWord, TLinkSpec and FullTwistForm check their fields; Verdict,
-NormalForm, CandidateResult, Certificate and SweepReport are plain
-NamedTuples; SweepRow is a class with slots, so that rows can be weakly
-referenced.  Sweep workers send forms to, and rows back from, other
+NormalForm, CandidateResult, Certificate, SweepRow and SweepReport are plain
+NamedTuples.  Sweep workers send forms to, and rows back from, other
 processes by pickle.
 """
 
 import pickle
-import weakref
 
 import pytest
 
@@ -115,4 +113,4 @@ def test_sweep_row_semantics():
             setattr(row, name, None)
         with pytest.raises(AttributeError):
             delattr(row, name)
-    assert weakref.ref(row)() is row
+    assert row == tuple(values.values()) and row.contradiction is False
