@@ -115,10 +115,8 @@ def _print_bundle(b: Closure) -> None:
     print(f"components:  {b.components}")
     print(f"letters:     {b.letters}")
     print(f"euler char:  {b.euler_char if b.euler_char is not None else 'n/a (negative letters)'}")
-    print(
-        "braid index: "
-        + (str(b.braid_index) if b.braid_index is not None else "n/a (no full twist found)")
-    )
+    why = "no full twist found" if b.rest.is_positive else "negative letters"
+    print(f"braid index: {b.braid_index if b.braid_index is not None else f'n/a ({why})'}")
     print(f"alexander:   {poly_text(b.alexander)}")
     if b.jones is not None:
         print(f"jones:       {poly_text(b.jones, quarter_exponents=True)}")

@@ -32,7 +32,7 @@ equality.  Jones values live in quarter powers of t (exponent k encodes
 t^(k/4)), which keeps links with half-integer powers exact.
 
 Every word, positive or signed, takes the same exact path to Alexander, on
-packed integers from the first letter to the quotient: the j full twists
+packed integers from the first letter to the determinant: the j full twists
 split off by the caller become a factor t^(nj), since rho(Delta^2) = t^n I.
 A positive word with a literal twist keeps the matrix t^(nj) rho(rest) - I.
 Any other word is cut in half, rest = w1 w2, and takes t^(nj) rho(w1) -
@@ -42,13 +42,15 @@ a twist-free word is first reduced (Closure), and a split one is 0.  One
 column routine updates the Burau columns of either half as integers packed
 at t = 2^K1, O(m) per letter of either sign, K1 set by one norm bound per
 column of each half; one digit pass reads their coefficients and lowest
-exponents; laurent.packed_determinant repacks the matrix, at the width of
-the permanent of its entry norms, for one integer determinant; and the
-determinant is unpacked once and divided by 1 + t + ... + t^(n-1) on its
-coefficients.  These widths and the Jones one come from proved bounds on
-coefficient size (see _packed_columns, _alexander_columns,
-laurent.packed_determinant, laurent.divide_by_strand_sum and _state_sum), so
-the recovery of coefficients is exact, never heuristic.
+exponents; laurent.determinant repacks the matrix, at the width of the
+permanent of its entry norms, for one integer determinant, and returns it
+unpacked with its norm bound; and the determinant is divided by
+1 + t + ... + t^(n-1) on its coefficients.  These widths and the Jones one
+come from proved bounds on coefficient size (see _packed_columns,
+_alexander_columns, laurent.determinant and _state_sum), so the recovery of
+coefficients is exact, never heuristic.  A 1-strand word takes the same
+path: its matrix is empty, of determinant 1, and the quotient by [1]_t = 1
+is 1.
 """
 
 from __future__ import annotations
@@ -59,13 +61,7 @@ from threading import Lock
 
 from .braid import BraidWord, Presentation, closure_pieces, split_full_twists
 from .garside import infimum
-from .laurent import (
-    LaurentPoly,
-    digits_of,
-    divide_by_strand_sum,
-    packed_determinant,
-    unpack,
-)
+from .laurent import LaurentPoly, determinant, digits_of, divide_by_strand_sum, unpack
 
 # Cost model of jones: per piece of the reduced word, at most letters x
 # min(Catalan(strands), 2^letters) bucket updates, each a list index into the
@@ -207,27 +203,22 @@ def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
     Delta^(2j) rest with j = twists and rest = w; w is neither scanned for
     more full twists nor reduced (Closure passes a split or reduced word).
 
-    One packed pipeline; no polynomial is built before the quotient.  The
-    columns of a matrix with determinant +-t^e det(rho(Delta^(2j) rest) - I)
-    come packed at t = 2^K1 (_alexander_columns): t^(nj) rho(rest) - I for a
-    positive rest and j >= 1, t^N (t^(nj) rho(w1) - rho(w2^-1)) else.  One
-    digit pass (laurent.digits_of) reads every entry.  The columns, the rows of
-    the transpose, which has the same determinant, go to
-    laurent.packed_determinant, whose width recovers every coefficient of the
-    determinant; laurent.divide_by_strand_sum reads them and divides by
+    One packed pipeline: the columns of a matrix with determinant
+    +-t^e det(rho(Delta^(2j) rest) - I) come packed at t = 2^K1
+    (_alexander_columns): t^(nj) rho(rest) - I for a positive rest and
+    j >= 1, t^N (t^(nj) rho(w1) - rho(w2^-1)) else.  One digit pass
+    (laurent.digits_of) reads every entry.  The columns, the rows of the
+    transpose, which has the same determinant, go to laurent.determinant,
+    which returns the determinant as a polynomial with a bound on its l1
+    norm; laurent.divide_by_strand_sum divides it by
     [n]_t = 1 + t + ... + t^(n-1), and raises InexactDivisionError unless the
-    division is exact.  The unit +-t^e and the determinant's shift by a power
-    of t drop out in the normalization.
+    division is exact.  The unit +-t^e drops out in the normalization.  On
+    one strand the matrix is empty, its determinant 1 and the quotient 1.
     """
-    n = w.strands
-    if n == 1:
-        return LaurentPoly.one()
     cols, k, _ = _alexander_columns(w, twists)
-    digit_cols = [[digits_of(v, k) for v in col] for col in cols]
-    det, k2, bound, _ = packed_determinant(digit_cols)
-    if not det:
-        return LaurentPoly.zero()
-    return divide_by_strand_sum(det, n, k2, bound).unit_normalized()
+    det, bound = determinant([[digits_of(v, k) for v in col] for col in cols])
+    quotient = divide_by_strand_sum(det, w.strands, bound)
+    return quotient.unit_normalized() if quotient else quotient
 
 
 # -- Kauffman bracket / Jones --------------------------------------------------

@@ -18,11 +18,12 @@ that keeps results, such as cross_validate, holds per value.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
-balanced base-2^k digits when k exceeds their bit length.  On packed
-integers it provides the one determinant, packed_determinant, which picks
-its digit width from a proved norm bound, and the exact division of a
-packed polynomial by 1 + t + ... + t^(n-1), on its coefficients; the
-Alexander pipeline uses both.
+balanced base-2^k digits when k exceeds their bit length.  It provides
+the one determinant of a polynomial matrix, determinant, which packs the
+matrix at a digit width picked from a proved norm bound, takes one integer
+determinant and unpacks it, so that the width never leaves it; and the
+exact division of a polynomial by 1 + t + ... + t^(n-1), on its
+coefficients.  The Alexander pipeline uses both.
 """
 
 from __future__ import annotations
@@ -76,19 +77,9 @@ class LaurentPoly:
 
     # -- inspection ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs of the nonzero terms in ascending exponent order."""
         return [(e, c) for e, c in enumerate(self.coeffs, self.low) if c]
-
-    @property
-    def min_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no minimal exponent")
-        return self.low
 
     # -- ring operations ----------------------------------------------------
 
@@ -128,7 +119,7 @@ class LaurentPoly:
         Shifts the lowest exponent to 0, then flips the overall sign so the
         lowest-degree coefficient is positive.  Idempotent; rejects zero.
         """
-        if self.is_zero:
+        if not self.coeffs:
             raise ValueError("the zero polynomial has no unit normalization")
         coeffs = self.coeffs if self.coeffs[0] > 0 else [-c for c in self.coeffs]
         return LaurentPoly.from_digits(0, coeffs)
@@ -144,7 +135,7 @@ class LaurentPoly:
         return hash((self.low, self.coeffs))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.coeffs)
 
     def __str__(self) -> str:
         return poly_text(self)
@@ -159,7 +150,7 @@ def poly_text(p: LaurentPoly, quarter_exponents: bool = False) -> str:
     With quarter_exponents=True the stored exponent k denotes t^(k/4); the
     fraction is reduced and printed as t^(k/4), t^(k/2) or an integer power.
     """
-    if p.is_zero:
+    if not p:
         return "0"
     pieces: list[str] = []
     for e, c in p.terms():
@@ -239,20 +230,17 @@ def unpack(value: int, k: int, low: int) -> LaurentPoly:
     return LaurentPoly.from_digits(low, balanced_digits(value, k))
 
 
-def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
-    """The exact quotient by [n]_t = 1 + t + ... + t^(n-1) of a polynomial packed at t = 2^k.
+def divide_by_strand_sum(det: LaurentPoly, n: int, bound: int) -> LaurentPoly:
+    """The exact quotient of det by [n]_t = 1 + t + ... + t^(n-1).
 
-    value packs, at t = 2^k from t^0 up, a polynomial det of l1 norm at most
-    bound, and k >= bit_length(bound) + 1, the width packed_determinant
-    picks.  Raises InexactDivisionError unless det = Q [n]_t for a
-    polynomial Q whose coefficients are at most 2 bound, and returns Q.
+    bound is at least the l1 norm of det, as determinant returns it.  Raises
+    InexactDivisionError unless det = Q [n]_t for a Laurent polynomial Q
+    whose coefficients are at most 2 bound, and returns Q.
 
-    Soundness, with no slack in k.  Every coefficient of det is at most
-    ||det||_1 <= bound < 2^(k-1), so balanced_digits returns exactly the
-    coefficients d_0, ..., d_D of det.  The rest is exact integer
-    arithmetic on them, with no width to meet.  In the power series ring,
-    [n]_t (1 - t) = 1 - t^n, so det / [n]_t is the series
-    Q = det (1 - t) / (1 - t^n), the one solution of
+    Soundness.  With d_0, ..., d_D the coefficients of det from t^low up,
+    the division is exact integer arithmetic on them.  In the power series
+    ring, [n]_t (1 - t) = 1 - t^n, so t^-low det / [n]_t is the series
+    Q = t^-low det (1 - t) / (1 - t^n), the one solution of
 
         Q_i = Q_(i-n) + d_i - d_(i-1)      (Q_i = 0 for i < 0, d_(-1) = 0),
 
@@ -260,13 +248,14 @@ def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
     exactly when this series is a polynomial of degree at most D - n + 1,
     and that holds exactly when the n values Q_(D-n+2), ..., Q_(D+1) are 0:
     for i >= D + 2 the recurrence reads Q_i = Q_(i-n), so n consecutive
-    zeros are followed only by zeros, and then Q [n]_t (1 - t) = det (1 - t)
-    gives Q [n]_t = det, as Z[[t]] has no zero divisors.  If det = Q [n]_t,
-    then Q_i is the sum of d_(i-jn) - d_(i-jn-1) over j >= 0, a sum over
-    distinct coefficients, so |Q_i| <= 2 ||det||_1 <= 2 bound; a larger
-    coefficient shows that value broke the precondition.
+    zeros are followed only by zeros, and then Q [n]_t (1 - t) = t^-low det
+    (1 - t) gives Q [n]_t = t^-low det, as Z[[t]] has no zero divisors; the
+    quotient is t^low Q.  If det = t^low Q [n]_t, then Q_i is the sum of
+    d_(i-jn) - d_(i-jn-1) over j >= 0, a sum over distinct coefficients, so
+    |Q_i| <= 2 ||det||_1 <= 2 bound; a larger coefficient shows that det
+    broke the precondition.
     """
-    d = balanced_digits(value, k) + [0]
+    d = [*det.coeffs, 0]
     steps = list(map(sub, d, [0] + d[:-1]))  # d_i - d_(i-1)
     q = [0] * len(d)
     for r in range(n):  # Q_i for i = r mod n: a running sum of the steps
@@ -274,7 +263,7 @@ def divide_by_strand_sum(value: int, n: int, k: int, bound: int) -> LaurentPoly:
     quotient = q[:-n]
     if any(q[-n:]) or max(map(abs, quotient), default=0) > 2 * bound:
         raise InexactDivisionError("polynomial division is not exact")
-    return LaurentPoly.from_digits(0, quotient)
+    return LaurentPoly.from_digits(det.low, quotient)
 
 
 def _sign(order: list[int]) -> int:
@@ -294,6 +283,9 @@ def int_determinant(rows: list[list[int]]) -> int:
     signs only.  Over the 181 seven-row Alexander matrices of the seed-0
     words benchmark, this took the elimination from 73.5 ms to 53.2 ms (best
     of five; Python 3.11, shared 2-core x86-64 host).
+
+    The empty matrix has determinant 1: it is the Alexander matrix of a
+    1-strand braid, whose reduced Burau representation has dimension 0.
     """
     n = len(rows)
     if n == 0:
@@ -359,20 +351,19 @@ def _permanent(a: list[list[int]]) -> int:
     return sum(sums.values())
 
 
-# Largest matrix whose norm permanent packed_determinant sums (see there)
+# Largest matrix whose norm permanent determinant sums (see there)
 _PERMANENT_MAX = 10
 
 
-def packed_determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[int, int, int, int]:
-    """One integer determinant of a polynomial matrix, packed at t = 2^k.
+def determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[LaurentPoly, int]:
+    """(det, bound): the determinant of a polynomial matrix, by one integer determinant.
 
     Entry (i, j) is (lowest exponent, coefficients from it up) or None for 0.
-    Returns (D, k, bound, low): the determinant is t^low times the polynomial
-    that D packs at t = 2^k from t^0 up, its l1 norm is at most bound, and
-    bound < 2^(k-1), so unpack(D, k, low) is the determinant.  Each row,
-    then each column, is shifted by a power of t to lowest exponent 0, which
-    divides the determinant by t^low, before it is packed for
-    int_determinant.
+    bound is at least the l1 norm of det.  Each row, then each column, is
+    shifted by a power of t to lowest exponent 0, which divides the
+    determinant by t^low, then packed at t = 2^k for int_determinant, whose
+    result is unpacked at k and shifted back by t^low.  The width k is
+    chosen here from bound and never leaves this function.
 
     Digit width.  With N_ij the l1 norm of entry (i, j), which the shifts
     keep, the Leibniz expansion and the subadditive, submultiplicative l1
@@ -384,7 +375,7 @@ def packed_determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[
     coefficient c of the determinant has |c| <= bound < 2^(k-1) for
     k = bit_length(bound) + 1, which recovers it (balanced_digits).  A bound
     of 0 (a zero row or column, or no permutation of nonzero entries) gives
-    D = 0.
+    det = 0, and the empty matrix (perm = 1) gives det = 1.
 
     The cap.  _permanent makes up to m 2^(m-1) products and keeps up to
     C(m, m/2) sums, so on a dense matrix its time doubles with each row
@@ -403,7 +394,7 @@ def packed_determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[
     else:
         bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
     if not bound:
-        return 0, 1, 0, 0
+        return LaurentPoly.zero(), 0
     row_lows = [min(e[0] for e in row if e) for row in rows]
     col_lows = [
         min(row[j][0] - low for row, low in zip(rows, row_lows) if row[j])
@@ -422,4 +413,4 @@ def packed_determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[
                 value <<= k * (low - row_low - col_low)
             out.append(value)
         packed.append(out)
-    return int_determinant(packed), k, bound, sum(row_lows) + sum(col_lows)
+    return unpack(int_determinant(packed), k, sum(row_lows) + sum(col_lows)), bound

@@ -25,7 +25,7 @@ braids of T-links, half twists) and count (letter_stats), the braid-word
 moves that only the tests make (product, inverse, conjugation, Markov
 stabilization and destabilization), and reduced_burau and determinant,
 which read the library's packed engines (invariants._packed_columns,
-laurent.packed_determinant) back as polynomial matrices so that the tests
+laurent.determinant) back as polynomial matrices so that the tests
 can compare those engines with the oracles.  They are views of the engines
 under test, not independent checks.
 """
@@ -44,7 +44,8 @@ from tlinks.braid import BraidWord, Presentation
 from tlinks.cli import _CSV_FIELDS, report_row
 from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
-from tlinks.laurent import InexactDivisionError, LaurentPoly, packed_determinant, unpack
+from tlinks import laurent
+from tlinks.laurent import InexactDivisionError, LaurentPoly, unpack
 from tlinks.oracle import SweepReport
 from tlinks.tlink import FullTwistForm, TLinkSpec, standard_presentation
 
@@ -95,7 +96,7 @@ def poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
 
 def max_exp(p: LaurentPoly) -> int:
     """The highest exponent of a nonzero polynomial."""
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has no maximal exponent")
     return p.terms()[-1][0]
 
@@ -113,12 +114,12 @@ def divide_exact(p: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
     Schoolbook division from the top on dense coefficient lists, both
     operands shifted to lowest exponent 0.
     """
-    if divisor.is_zero:
+    if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero:
+    if not p:
         return LaurentPoly.zero()
     num, den = dict(p.terms()), dict(divisor.terms())
-    lo, dlo = p.min_exp, divisor.min_exp
+    lo, dlo = p.low, divisor.low
     rem = [num.get(e, 0) for e in range(lo, max_exp(p) + 1)]
     den_list = [den.get(e, 0) for e in range(dlo, max_exp(divisor) + 1)]
     top = len(den_list) - 1
@@ -239,7 +240,7 @@ def bucket_jones(w: BraidWord) -> LaurentPoly:
                 lst[x], lst[y] = y, x
                 m2 = tuple(lst)
             acc[m2] = acc.get(m2, zero) + cup
-        states = {m: v for m, v in acc.items() if not v.is_zero}
+        states = {m: v for m, v in acc.items() if v}
     bracket = zero
     for m, coeff in states.items():
         parent = {p: p for p in range(2 * n)}
@@ -659,15 +660,12 @@ def reduced_burau(w: BraidWord) -> PolyMatrix:
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     """(lowest exponent, every coefficient from it up to the highest) of a nonzero p."""
-    coeffs = dict(p.terms())
-    return p.min_exp, [coeffs.get(e, 0) for e in range(p.min_exp, max_exp(p) + 1)]
+    return p.low, list(p.coeffs)
 
 
 def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant, as one packed integer determinant (laurent.packed_determinant)."""
-    rows = [[_dense(p) if p else None for p in row] for row in m.entries]
-    det, k, _, low = packed_determinant(rows)
-    return unpack(det, k, low)
+    """Exact determinant, as one packed integer determinant (laurent.determinant)."""
+    return laurent.determinant([[_dense(p) if p else None for p in row] for row in m.entries])[0]
 
 
 def whole_json_report(report: SweepReport, path: str, include_timings: bool) -> None:

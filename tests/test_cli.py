@@ -123,6 +123,17 @@ def test_invariants_command(capsys):
     assert "jones:       -t^(1/2) - t^(5/2)" in out.splitlines()
 
 
+def test_missing_braid_index_says_why(capsys):
+    # a signed word is not tried, though this one opens with a literal full twist
+    code, out, _ = run(capsys, "invariants", "n=3: 1,2,1,2,1,2,-1,2,-1")
+    assert code == EXIT_OK
+    assert "braid index: n/a (negative letters)" in out.splitlines()
+    # a positive word that the full-twist criterion does not settle
+    code, out, _ = run(capsys, "invariants", "n=3: 1,2")
+    assert code == EXIT_OK
+    assert "braid index: n/a (no full twist found)" in out.splitlines()
+
+
 def test_certify_command(capsys):
     code, out, _ = run(capsys, "certify", "n=3: 2,2,1,2,1,2,1,2,1,2,1,2")
     assert code == EXIT_OK
@@ -131,7 +142,7 @@ def test_certify_command(capsys):
 
 
 def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
-    def inexact(value, n, k, bound):
+    def inexact(det, n, bound):
         raise InexactDivisionError("polynomial division is not exact")
 
     monkeypatch.setattr(invariants, "divide_by_strand_sum", inexact)

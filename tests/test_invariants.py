@@ -89,9 +89,11 @@ def test_alexander_examples():
     assert alexander(TREFOIL) == LaurentPoly({0: 1, 1: -1, 2: 1})
     assert alexander(UNKNOT) == LaurentPoly.one()
     assert alexander(torus_braid(5, 2)) == LaurentPoly({0: 1, 1: -1, 2: 1, 3: -1, 4: 1})
-    assert alexander(BraidWord(1, ())) == LaurentPoly.one()
+    # one strand takes the general path: an empty matrix, of determinant 1
+    for j in range(4):
+        assert alexander(BraidWord(1, ()), j) == LaurentPoly.one()
     # split closures have vanishing Alexander polynomial
-    assert alexander(BraidWord(2, ())).is_zero
+    assert not alexander(BraidWord(2, ()))
 
 
 def test_alexander_closed_form_cross_check():

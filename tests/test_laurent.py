@@ -24,7 +24,6 @@ from tlinks.laurent import (
     InexactDivisionError,
     LaurentPoly,
     divide_by_strand_sum,
-    packed_determinant,
     poly_text,
     unpack,
 )
@@ -60,6 +59,8 @@ def test_mul_examples():
 
 
 def test_determinant_examples():
+    # the empty matrix, of a 1-strand braid: one empty permutation
+    assert laurent.determinant([]) == (ONE, 1)
     assert determinant(identity_matrix(3)) == ONE
     diag = PolyMatrix.from_rows([[T(1), ZERO], [ZERO, T(-1)]])
     assert determinant(diag) == ONE
@@ -133,23 +134,18 @@ def test_divide_exact():
 
 
 def test_divide_by_strand_sum_checks():
-    def packed(coeffs, k):
-        return sum(c << k * e for e, c in coeffs.items())
-
-    # exact: (1 + t + t^2)(1 - 2t) at the proved width for its l1 norm 5
-    det, n, bound = {0: 1, 1: -1, 2: -1, 3: -2}, 3, 5
-    k = ((2 * n + 1) * bound).bit_length() + 1
-    assert divide_by_strand_sum(packed(det, k), n, k, bound) == P({0: 1, 1: -2})
-    assert divide_by_strand_sum(0, n, k, bound) == ZERO
-    # 1 + t is not a multiple of 1 + t + t^2: the integer division leaves a remainder
-    k = (7 * 2).bit_length() + 1
+    # exact: (1 + t + t^2)(1 - 2t), of l1 norm 5
+    det, n, bound = P({0: 1, 1: -1, 2: -1, 3: -2}), 3, 5
+    assert divide_by_strand_sum(det, n, bound) == P({0: 1, 1: -2})
+    assert divide_by_strand_sum(ZERO, n, bound) == ZERO
+    # 1 + t is not a multiple of 1 + t + t^2: the division leaves a remainder
     with pytest.raises(InexactDivisionError, match="not exact"):
-        divide_by_strand_sum(packed({0: 1, 1: 1}, k), 3, k, 2)
-    # at K2 = 4 and bound 1, 2 * 17 and 5 * 17 are multiples of [2](16) = 17, but
-    # only the quotient digit 2 is within 2 * bound; the digit 5 is rejected
-    assert divide_by_strand_sum(2 * 17, 2, 4, 1) == P({0: 2})
+        divide_by_strand_sum(P({0: 1, 1: 1}), 3, 2)
+    # at bound 1, 2 [2]_t and 5 [2]_t are both multiples of [2]_t, but only
+    # the quotient coefficient 2 is within 2 * bound; the 5 is rejected
+    assert divide_by_strand_sum(P({0: 2, 1: 2}), 2, 1) == P({0: 2})
     with pytest.raises(InexactDivisionError, match="not exact"):
-        divide_by_strand_sum(5 * 17, 2, 4, 1)
+        divide_by_strand_sum(P({0: 5, 1: 5}), 2, 1)
 
 
 def test_one_bit_digits_raise():
@@ -160,11 +156,6 @@ def test_one_bit_digits_raise():
         unpack(1, 1, 0)
 
 
-def _packed(coeffs, k):
-    """sum(c 2^(k e)): coeffs packed at t = 2^k from t^0 up."""
-    return sum(c << k * e for e, c in coeffs.items())
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(
@@ -173,25 +164,25 @@ def _packed(coeffs, k):
     st.integers(min_value=1, max_value=10),
 )
 def test_divide_by_strand_sum_at_slack_one(q, n):
-    # det = Q [n]_t packed at the width of its own l1 norm, no slack: the
-    # division reads det's coefficients and returns Q
+    # det = t^s Q [n]_t with bound its own l1 norm, no slack: the division
+    # returns t^s Q, its lowest exponent from det's
     quotient = LaurentPoly(q)
-    det = dict((quotient * LaurentPoly({e: 1 for e in range(n)})).terms())
-    bound = sum(map(abs, det.values()))
-    k = bound.bit_length() + 1
-    value = _packed(det, k)
-    assert divide_by_strand_sum(value, n, k, bound) == quotient
-    if n == 1:
-        return
-    # det plus or minus t^e is not a multiple of [n]_t, for any e
-    for e in range(max(det) + 2):
-        for step in (1, -1):
-            with pytest.raises(InexactDivisionError):
-                divide_by_strand_sum(value + (step << k * e), n, k, bound)
+    det = quotient * LaurentPoly({e: 1 for e in range(n)})
+    bound = sum(map(abs, det.coeffs))
+    top = det.low + len(det.coeffs)
+    for s in range(-3, 4):
+        assert divide_by_strand_sum(T(s) * det, n, bound) == T(s) * quotient
+        if n == 1:
+            continue
+        # t^s det plus or minus t^e is not a multiple of [n]_t, for any e
+        for e in range(s, s + top + 1):
+            for step in (1, -1):
+                with pytest.raises(InexactDivisionError):
+                    divide_by_strand_sum(T(s) * det + P({e: step}), n, bound)
 
 
 def _rows(m):
-    """The entries of m as packed_determinant reads them."""
+    """The entries of m as laurent.determinant reads them."""
     return [[_dense(p) if p else None for p in row] for row in m.entries]
 
 
@@ -206,19 +197,19 @@ square_entries = st.integers(min_value=1, max_value=5).flatmap(
 
 @settings(max_examples=80, deadline=None)
 @given(square_entries)
-def test_packed_determinant_bound_is_the_norm_permanent(entries):
+def test_determinant_bound_is_the_norm_permanent(entries):
     # below the cap the bound is perm(N) of the entry norms, by an
     # independent sum over permutations, and it bounds the l1 norm of the
-    # Leibniz determinant
+    # Leibniz determinant, which the determinant equals
     m = round(len(entries) ** 0.5)
     matrix = PolyMatrix.from_rows([entries[i * m : (i + 1) * m] for i in range(m)])
     rows = _rows(matrix)
-    d, k, bound, low = packed_determinant(rows)
+    det, bound = laurent.determinant(rows)
     assert m <= laurent._PERMANENT_MAX
     assert bound == permanent(_norms(rows))
     exact = leibniz_determinant(matrix)
-    assert sum(abs(c) for _, c in exact.terms()) <= bound < 1 << k - 1
-    assert determinant(matrix) == exact
+    assert sum(abs(c) for _, c in exact.terms()) <= bound
+    assert det == exact
 
 
 def _random_entry(rng):
@@ -229,14 +220,14 @@ def _no_table(a):
     raise AssertionError("a permanent was summed above the cap")
 
 
-def test_packed_determinant_bound_above_the_cap(monkeypatch):
-    # the cap is the measured 10 (see packed_determinant): at m = 10 an
+def test_determinant_bound_above_the_cap(monkeypatch):
+    # the cap is the measured 10 (see laurent.determinant): at m = 10 an
     # all-ones norm matrix has perm = 10!, below the row and column products
     # 10^10; above it no permanent is summed, and the bound is the smaller
     # of those products, here of matrices with uneven rows and columns
     assert laurent._PERMANENT_MAX == 10
     ones = [[(0, [1])] * 10 for _ in range(10)]
-    assert packed_determinant(ones)[2] == prod(range(1, 11))
+    assert laurent.determinant(ones)[1] == prod(range(1, 11))
     monkeypatch.setattr(laurent, "_permanent", _no_table)
     rng = random.Random(7)
     for m in range(11, 14):
@@ -245,7 +236,7 @@ def test_packed_determinant_bound_above_the_cap(monkeypatch):
             rows[i][rng.randrange(m)] = None
         norms = _norms(rows)
         products = prod(map(sum, norms)), prod(map(sum, zip(*norms)))
-        assert packed_determinant(rows)[2] == min(products)
+        assert laurent.determinant(rows)[1] == min(products)
 
 
 def test_wide_determinant_builds_no_subset_table(monkeypatch):
@@ -253,8 +244,7 @@ def test_wide_determinant_builds_no_subset_table(monkeypatch):
     # is summed, so no table of column sets is ever built
     monkeypatch.setattr(laurent, "_permanent", _no_table)
     rows = [[(0, [1, 1])] * 30 for _ in range(30)]
-    d, k, bound, low = packed_determinant(rows)
-    assert (d, bound) == (0, 60**30)
+    assert laurent.determinant(rows) == (ZERO, 60**30)
 
 
 def test_pow_and_evaluate():
@@ -295,7 +285,7 @@ def test_determinant_multiplicative(xs, ys):
 @settings(max_examples=120)
 @given(small_polys, st.integers(min_value=-5, max_value=5), st.booleans())
 def test_normalize_unit_insensitive(p, k, flip):
-    if p.is_zero:
+    if not p:
         return
     unit = LaurentPoly({k: -1 if flip else 1})
     assert (p * unit).unit_normalized() == p.unit_normalized()

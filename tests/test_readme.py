@@ -58,7 +58,8 @@ REMOVED = {
     "garside": ["delta_word"],
     "garside.NormalForm": ["__str__"],
     "invariants": ["InvariantBundle", "euler_char"],
-    "laurent.LaurentPoly": ["t", "term"],
+    "laurent": ["packed_determinant"],
+    "laurent.LaurentPoly": ["is_zero", "min_exp", "t", "term"],
     "oracle": ["candidate_torus_params"],
     "tlink": ["standard_braid"],
     "tlink.FullTwistForm": ["gcd_base"],
