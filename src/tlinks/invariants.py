@@ -42,9 +42,9 @@ a twist-free word is first reduced (Closure), and a split one is 0.  One
 column routine updates the Burau columns of either half as integers packed
 at t = 2^K1, O(m) per letter of either sign, K1 set by one norm bound per
 column of each half; one digit pass reads their coefficients and lowest
-exponents; laurent.determinant repacks the matrix, at the width of the
-permanent of its entry norms, for one integer determinant, and returns it
-unpacked with its norm bound; and the determinant is divided by
+exponents; laurent.determinant repacks the matrix, at a width set by
+Hadamard's bound on its coefficients, for one integer determinant, and
+returns it unpacked with that bound; and the determinant is divided by
 1 + t + ... + t^(n-1) on its coefficients.  These widths and the Jones one
 come from proved bounds on coefficient size (see _packed_columns,
 _alexander_columns, laurent.determinant and _state_sum), so the recovery of
@@ -209,8 +209,8 @@ def alexander(w: BraidWord, twists: int = 0) -> LaurentPoly:
     j >= 1, t^N (t^(nj) rho(w1) - rho(w2^-1)) else.  One digit pass
     (laurent.digits_of) reads every entry.  The columns, the rows of the
     transpose, which has the same determinant, go to laurent.determinant,
-    which returns the determinant as a polynomial with a bound on its l1
-    norm; laurent.divide_by_strand_sum divides it by
+    which returns the determinant as a polynomial with a bound on its
+    coefficients; laurent.divide_by_strand_sum divides it by
     [n]_t = 1 + t + ... + t^(n-1), and raises InexactDivisionError unless the
     division is exact.  The unit +-t^e drops out in the normalization.  On
     one strand the matrix is empty, its determinant 1 and the quotient 1.

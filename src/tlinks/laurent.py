@@ -20,16 +20,17 @@ This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
 balanced base-2^k digits when k exceeds their bit length.  It provides
 the one determinant of a polynomial matrix, determinant, which packs the
-matrix at a digit width picked from a proved norm bound, takes one integer
-determinant and unpacks it, so that the width never leaves it; and the
-exact division of a polynomial by 1 + t + ... + t^(n-1), on its
-coefficients.  The Alexander pipeline uses both.
+matrix at a digit width picked from a bound on every coefficient of the
+determinant (Hadamard's inequality on the unit circle, O(m^2) at every size
+m), takes one integer determinant and unpacks it, so that the width never
+leaves it; and the exact division of a polynomial by 1 + t + ... + t^(n-1),
+on its coefficients.  The Alexander pipeline uses both.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from math import prod
+from math import isqrt, prod
 from operator import sub
 from typing import Mapping, Sequence
 
@@ -233,9 +234,10 @@ def unpack(value: int, k: int, low: int) -> LaurentPoly:
 def divide_by_strand_sum(det: LaurentPoly, n: int, bound: int) -> LaurentPoly:
     """The exact quotient of det by [n]_t = 1 + t + ... + t^(n-1).
 
-    bound is at least the l1 norm of det, as determinant returns it.  Raises
-    InexactDivisionError unless det = Q [n]_t for a Laurent polynomial Q
-    whose coefficients are at most 2 bound, and returns Q.
+    bound is at least |c| for every coefficient c of det, as determinant
+    returns it.  Raises InexactDivisionError unless det = Q [n]_t for a
+    Laurent polynomial Q whose coefficients are at most 2 floor(L / n) bound,
+    L = len(det.coeffs), and returns Q.
 
     Soundness.  With d_0, ..., d_D the coefficients of det from t^low up,
     the division is exact integer arithmetic on them.  In the power series
@@ -250,10 +252,14 @@ def divide_by_strand_sum(det: LaurentPoly, n: int, bound: int) -> LaurentPoly:
     for i >= D + 2 the recurrence reads Q_i = Q_(i-n), so n consecutive
     zeros are followed only by zeros, and then Q [n]_t (1 - t) = t^-low det
     (1 - t) gives Q [n]_t = t^-low det, as Z[[t]] has no zero divisors; the
-    quotient is t^low Q.  If det = t^low Q [n]_t, then Q_i is the sum of
-    d_(i-jn) - d_(i-jn-1) over j >= 0, a sum over distinct coefficients, so
-    |Q_i| <= 2 ||det||_1 <= 2 bound; a larger coefficient shows that det
-    broke the precondition.
+    quotient is t^low Q.
+
+    Witness.  Unrolled, Q_i is the sum of d_(i-jn) - d_(i-jn-1) over
+    0 <= j <= i / n, 2 (floor(i / n) + 1) terms of modulus at most bound.  A
+    quotient coefficient has i <= D - n + 1, so floor(i / n) + 1 <=
+    floor((D + 1) / n) = floor(L / n), and |Q_i| <= 2 floor(L / n) bound.  A
+    larger one shows that det broke the precondition: some coefficient of it
+    exceeds bound.
     """
     d = [*det.coeffs, 0]
     steps = list(map(sub, d, [0] + d[:-1]))  # d_i - d_(i-1)
@@ -261,7 +267,7 @@ def divide_by_strand_sum(det: LaurentPoly, n: int, bound: int) -> LaurentPoly:
     for r in range(n):  # Q_i for i = r mod n: a running sum of the steps
         q[r::n] = accumulate(steps[r::n])
     quotient = q[:-n]
-    if any(q[-n:]) or max(map(abs, quotient), default=0) > 2 * bound:
+    if any(q[-n:]) or max(map(abs, quotient), default=0) > 2 * (len(det.coeffs) // n) * bound:
         raise InexactDivisionError("polynomial division is not exact")
     return LaurentPoly.from_digits(det.low, quotient)
 
@@ -326,73 +332,36 @@ def digits_of(value: int, k: int) -> tuple[int, list[int]] | None:
     return low, balanced_digits(value >> k * low, k)
 
 
-def _permanent(a: list[list[int]]) -> int:
-    """perm(a) of a square matrix, by a sum over the column sets that the first rows fill.
-
-    After r rows, sums[S] is the sum, over the ways to put those rows in
-    distinct columns of S, |S| = r, of the products of their entries; the
-    next row extends each way by each column not in S where its entry is
-    nonzero.  The permanent does not depend on the order of the rows, so
-    they go sparsest first, which keeps the sets that sparse rows can fill
-    few.  After the last row the one set left is every column, and its sum
-    is perm(a); a row keeps at most C(m, m/2) sets, and all rows make at
-    most m 2^(m-1) products.
-    """
-    sums = {0: 1}
-    for entries in sorted(([(1 << j, x) for j, x in enumerate(row) if x] for row in a), key=len):
-        grown: dict[int, int] = {}
-        get = grown.get
-        for cols, v in sums.items():
-            for bit, x in entries:
-                if not cols & bit:
-                    key = cols | bit
-                    grown[key] = get(key, 0) + v * x
-        sums = grown
-    return sum(sums.values())
-
-
-# Largest matrix whose norm permanent determinant sums (see there)
-_PERMANENT_MAX = 10
-
-
 def determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[LaurentPoly, int]:
     """(det, bound): the determinant of a polynomial matrix, by one integer determinant.
 
     Entry (i, j) is (lowest exponent, coefficients from it up) or None for 0.
-    bound is at least the l1 norm of det.  Each row, then each column, is
-    shifted by a power of t to lowest exponent 0, which divides the
-    determinant by t^low, then packed at t = 2^k for int_determinant, whose
-    result is unpacked at k and shifted back by t^low.  The width k is
-    chosen here from bound and never leaves this function.
+    bound is at least |c| for every coefficient c of det.  Each row, then
+    each column, is shifted by a power of t to lowest exponent 0, which
+    divides the determinant by t^low, then packed at t = 2^k for
+    int_determinant, whose result is unpacked at k and shifted back by
+    t^low.  The width k is chosen here from bound and never leaves this
+    function.
 
-    Digit width.  With N_ij the l1 norm of entry (i, j), which the shifts
-    keep, the Leibniz expansion and the subadditive, submultiplicative l1
-    norm give ||det||_1 <= perm(N) <= prod_i sum_j N_ij: expanding the
-    product of the row sums yields every term of perm(N) and more
-    nonnegative ones.  On the transpose the same holds for the column sums.
-    bound is perm(N) itself (_permanent) for a matrix of m <= _PERMANENT_MAX
-    rows, and the smaller of the two products above that.  So every
-    coefficient c of the determinant has |c| <= bound < 2^(k-1) for
-    k = bit_length(bound) + 1, which recovers it (balanced_digits).  A bound
-    of 0 (a zero row or column, or no permutation of nonzero entries) gives
-    det = 0, and the empty matrix (perm = 1) gives det = 1.
-
-    The cap.  _permanent makes up to m 2^(m-1) products and keeps up to
-    C(m, m/2) sums, so on a dense matrix its time doubles with each row
-    whatever the entries, while the Bareiss steps it narrows grow with m and
-    with the entries.  On 40 random words of 40-120 letters on m + 1
-    strands for each m (Python 3.11, shared 2-core x86-64 host), the
-    permanent took 0.14 ms at m = 7 and saved 0.22 ms of Bareiss (K 48.0 ->
-    39.9 bits); 0.91 ms against 1.20 ms at m = 10, 1.72 ms against 1.63 ms
-    at m = 11, and 2.10 ms against 2.03 ms at m = 12.  So it stops paying at
-    m = 11, and the cap is 10; above it no permanent is summed, so time and
-    memory stay bounded up to the strand limit.
+    Digit width (Hadamard's inequality on the unit circle).  With N_ij the
+    l1 norm of entry (i, j), let R = prod_i sum_j N_ij^2 and
+    C = prod_j sum_i N_ij^2; bound = isqrt(min(R, C)), O(m^2) at every size.
+    On |z| = 1 every entry has |M_ij(z)| <= N_ij, so Hadamard's inequality
+    |det M(z)| <= prod_i (sum_j |M_ij(z)|^2)^(1/2) gives |det M(z)| <= R^(1/2),
+    and the same on the transpose gives C^(1/2).  A coefficient c of det is
+    a Fourier coefficient of det(e^(i theta)), so |c| is at most the largest
+    |det| on the circle, and an integer, so |c| <= isqrt(min(R, C)); by
+    Parseval the sum of the squares of the coefficients is at most
+    min(R, C) too.  The shifts multiply entries and det by powers of t, of
+    modulus 1 on the circle, so they change none of this.  Every coefficient
+    then has |c| <= bound < 2^(k-1) for k = bit_length(bound) + 1, which
+    recovers it (balanced_digits).  A bound of 0 (a zero row or column)
+    gives det = 0, and the empty matrix (R = C = 1) gives det = 1.  C is
+    the smaller product on some matrices, and it is 0 on a zero column,
+    which has no lowest exponent to shift by.
     """
-    norms = [[sum(map(abs, e[1])) if e else 0 for e in row] for row in rows]
-    if len(rows) <= _PERMANENT_MAX:
-        bound = _permanent(norms)
-    else:
-        bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
+    squares = [[sum(map(abs, e[1])) ** 2 if e else 0 for e in row] for row in rows]
+    bound = isqrt(min(prod(map(sum, squares)), prod(map(sum, zip(*squares)))))
     if not bound:
         return LaurentPoly.zero(), 0
     row_lows = [min(e[0] for e in row if e) for row in rows]

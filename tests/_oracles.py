@@ -6,7 +6,7 @@ union-find loop counting, and for long words by a state sum bucketed by
 planar matching over dict polynomials, the torus-knot Alexander and Jones
 polynomials by exact division of their closed-form quotients, the reduced
 Burau matrix as a product of generator matrices over Laurent polynomials,
-determinants by Leibniz expansion, permanents as a sum over permutations,
+determinants by Leibniz expansion, Hadamard's products by plain loops,
 polynomial division by the schoolbook method on dense coefficient lists,
 values at a point as exact fractions, the digit widths of the Alexander
 columns and of the Kauffman state sum from their own bounds, the strand
@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Presentation
@@ -288,9 +288,17 @@ def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
     return total
 
 
-def permanent(a: Sequence[Sequence[int]]) -> int:
-    """sum over permutations s of prod_i a[i][s(i)]; meant for size <= 7."""
-    return sum(prod(a[i][j] for i, j in enumerate(perm)) for perm in permutations(range(len(a))))
+def hadamard_products(a: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(prod over rows, prod over columns) of the sums of squared entries of a square matrix."""
+    rows = cols = 1
+    for i in range(len(a)):
+        row = col = 0
+        for j in range(len(a)):
+            row += a[i][j] * a[i][j]
+            col += a[j][i] * a[j][i]
+        rows *= row
+        cols *= col
+    return rows, cols
 
 
 def torus_alexander_closed_form(p: int, q: int) -> LaurentPoly:

@@ -1,6 +1,6 @@
 import pickle
 import random
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +12,15 @@ from _oracles import (
     determinant,
     divide_exact,
     evaluate,
+    hadamard_products,
     identity_matrix,
     leibniz_determinant,
     matmul,
-    permanent,
     poly_pow,
     t_power,
 )
 from tlinks import laurent
+from tlinks.cli import MAX_STRANDS
 from tlinks.laurent import (
     InexactDivisionError,
     LaurentPoly,
@@ -148,6 +149,16 @@ def test_divide_by_strand_sum_checks():
         divide_by_strand_sum(P({0: 5, 1: 5}), 2, 1)
 
 
+def test_divide_by_strand_sum_witness_counts_terms():
+    # at bound 1 and n = 3, a det of 3 coefficients admits quotient
+    # coefficients up to 2 floor(3 / 3) = 2: 2 [3]_t passes, and 3 [3]_t,
+    # whose coefficients break the bound, is rejected, though the l1 witness
+    # 3 bound (its length times bound) would admit it
+    assert divide_by_strand_sum(P({0: 2, 1: 2, 2: 2}), 3, 1) == P({0: 2})
+    with pytest.raises(InexactDivisionError, match="not exact"):
+        divide_by_strand_sum(P({0: 3, 1: 3, 2: 3}), 3, 1)
+
+
 def test_one_bit_digits_raise():
     # at k = 1 the balanced digits of a nonzero value never end, so the read
     # raises instead of growing its digit list without bound
@@ -164,11 +175,11 @@ def test_one_bit_digits_raise():
     st.integers(min_value=1, max_value=10),
 )
 def test_divide_by_strand_sum_at_slack_one(q, n):
-    # det = t^s Q [n]_t with bound its own l1 norm, no slack: the division
-    # returns t^s Q, its lowest exponent from det's
+    # det = t^s Q [n]_t with bound its largest coefficient, no slack: the
+    # division returns t^s Q, its lowest exponent from det's
     quotient = LaurentPoly(q)
     det = quotient * LaurentPoly({e: 1 for e in range(n)})
-    bound = sum(map(abs, det.coeffs))
+    bound = max(map(abs, det.coeffs))
     top = det.low + len(det.coeffs)
     for s in range(-3, 4):
         assert divide_by_strand_sum(T(s) * det, n, bound) == T(s) * quotient
@@ -197,54 +208,61 @@ square_entries = st.integers(min_value=1, max_value=5).flatmap(
 
 @settings(max_examples=80, deadline=None)
 @given(square_entries)
-def test_determinant_bound_is_the_norm_permanent(entries):
-    # below the cap the bound is perm(N) of the entry norms, by an
-    # independent sum over permutations, and it bounds the l1 norm of the
-    # Leibniz determinant, which the determinant equals
+def test_determinant_bound_is_hadamards(entries):
+    # the bound is isqrt of the smaller Hadamard product of the entry norms,
+    # by independent loops; it bounds every coefficient of the Leibniz
+    # determinant, which the determinant equals, and by Parseval the sum of
+    # their squares is at most that product
     m = round(len(entries) ** 0.5)
     matrix = PolyMatrix.from_rows([entries[i * m : (i + 1) * m] for i in range(m)])
     rows = _rows(matrix)
     det, bound = laurent.determinant(rows)
-    assert m <= laurent._PERMANENT_MAX
-    assert bound == permanent(_norms(rows))
+    products = hadamard_products(_norms(rows))
+    assert bound == isqrt(min(products))
     exact = leibniz_determinant(matrix)
-    assert sum(abs(c) for _, c in exact.terms()) <= bound
     assert det == exact
+    assert all(abs(c) <= bound for c in exact.coeffs)
+    assert sum(c * c for c in exact.coeffs) <= min(products)
 
 
 def _random_entry(rng):
     return rng.randint(-3, 3), [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))]
 
 
-def _no_table(a):
-    raise AssertionError("a permanent was summed above the cap")
-
-
-def test_determinant_bound_above_the_cap(monkeypatch):
-    # the cap is the measured 10 (see laurent.determinant): at m = 10 an
-    # all-ones norm matrix has perm = 10!, below the row and column products
-    # 10^10; above it no permanent is summed, and the bound is the smaller
-    # of those products, here of matrices with uneven rows and columns
-    assert laurent._PERMANENT_MAX == 10
-    ones = [[(0, [1])] * 10 for _ in range(10)]
-    assert laurent.determinant(ones)[1] == prod(range(1, 11))
-    monkeypatch.setattr(laurent, "_permanent", _no_table)
+def test_wide_determinant_bound():
+    # matrices with uneven rows and columns: the bound is Hadamard's at every
+    # size, and never above the cruder row or column product of the entry
+    # norms, as sum x^2 <= (sum x)^2 for x >= 0
     rng = random.Random(7)
     for m in range(11, 14):
         rows = [[_random_entry(rng) for _ in range(m)] for _ in range(m)]
         for i in range(m):
             rows[i][rng.randrange(m)] = None
         norms = _norms(rows)
-        products = prod(map(sum, norms)), prod(map(sum, zip(*norms)))
-        assert laurent.determinant(rows)[1] == min(products)
+        bound = laurent.determinant(rows)[1]
+        assert bound == isqrt(min(hadamard_products(norms)))
+        assert bound <= min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
 
 
-def test_wide_determinant_builds_no_subset_table(monkeypatch):
-    # a dense 30x30 matrix, every entry 1 + t: above the cap no permanent
-    # is summed, so no table of column sets is ever built
-    monkeypatch.setattr(laurent, "_permanent", _no_table)
+def test_determinant_bound_of_zero_and_empty():
+    # a zero row or a zero column makes a product 0: det = 0 at bound 0,
+    # before a zero column's lowest exponent is sought; no rows give 1
+    entry = (-1, [2, 0, -3])
+    assert laurent.determinant([[entry, entry], [None, None]]) == (ZERO, 0)
+    assert laurent.determinant([[entry, None], [entry, None]]) == (ZERO, 0)
+    assert laurent.determinant([]) == (ONE, 1)
+
+
+def test_dense_determinant_returns_at_once():
+    # every entry 1 + t: each row and column sums 4 m, so the bound is
+    # isqrt((4 m)^m), at m = 30 exactly 120^15, and det = 0 (rank 1); the
+    # bound takes m^2 steps, so the largest Alexander matrix, of
+    # MAX_STRANDS - 1 rows, returns at once too
     rows = [[(0, [1, 1])] * 30 for _ in range(30)]
-    assert laurent.determinant(rows) == (ZERO, 60**30)
+    assert laurent.determinant(rows) == (ZERO, 120**15)
+    m = MAX_STRANDS - 1
+    rows = [[(0, [1, 1])] * m for _ in range(m)]
+    assert laurent.determinant(rows) == (ZERO, isqrt((4 * m) ** m))
 
 
 def test_pow_and_evaluate():
