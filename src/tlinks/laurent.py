@@ -3,9 +3,10 @@
 Coefficients are arbitrary-precision Python ints, and a value is stored
 densely: its lowest exponent and the tuple of its coefficients from there up
 to its highest term, both end coefficients nonzero, so polynomial equality
-is exact and cheap.  It holds the Alexander and Jones values; the Burau
-product, the Alexander determinant and the Kauffman state sum run on packed
-integers, and their digit lists become this type as they are unpacked.
+is exact and cheap.  It holds the Alexander and Jones values and the
+entries of the Alexander matrix; the Burau product, the Alexander
+determinant and the Kauffman state sum run on packed integers, which become
+this type as they are unpacked.
 
 A value's size is the span of its degree, not the count of its terms, and
 the letters of its braid bound that span.  For c letters on n strands, an
@@ -18,13 +19,14 @@ that keeps results, such as cross_validate, holds per value.
 
 This module also owns the packed form of a polynomial: its value at
 t = 2^k, an integer from which the coefficients come back exactly as
-balanced base-2^k digits when k exceeds their bit length.  It provides
-the one determinant of a polynomial matrix, determinant, which packs the
-matrix at a digit width picked from a bound on every coefficient of the
-determinant (Hadamard's inequality on the unit circle, O(m^2) at every size
-m), takes one integer determinant and unpacks it, so that the width never
-leaves it; and the exact division of a polynomial by 1 + t + ... + t^(n-1),
-on its coefficients.  The Alexander pipeline uses both.
+balanced base-2^k digits when k exceeds their bit length, read by the one
+reader unpack.  It provides the one determinant of a polynomial matrix,
+determinant, which takes a square matrix of LaurentPoly, packs it at a
+digit width picked from a bound on every coefficient of the determinant
+(Hadamard's inequality on the unit circle, O(m^2) at every size m), takes
+one integer determinant and unpacks it, so that the width never leaves it;
+and the exact division of a polynomial by 1 + t + ... + t^(n-1), on its
+coefficients.  The Alexander pipeline uses both.
 """
 
 from __future__ import annotations
@@ -195,21 +197,34 @@ def _monomial(e: int) -> str | None:
 # determinants of packed entries are the packed sums, products and
 # determinants, and multiplying a packed polynomial by t is a shift by k bits.
 
+_ZERO = LaurentPoly.zero()
 
-def balanced_digits(value: int, k: int) -> list[int]:
-    """The balanced base-2^k digits of value, lowest first.
 
-    Each digit lies in [-2^(k-1), 2^(k-1)), and the digits of a packed
-    polynomial are its coefficients whenever every coefficient c has
-    |c| < 2^(k-1): the lowest coefficient is then the one residue of value
-    modulo 2^k in that range, and value minus it, divided by 2^k, packs the
-    remaining terms.  A coefficient bound B meets this with
-    k >= bit_length(B) + 1, since |c| <= B < 2^bit_length(B).  The loop ends
-    for k >= 2, or for value 0: at k = 1 every nonzero value carries a 1 on
-    for ever, so a width that narrow raises ValueError instead.
+def unpack(value: int, k: int, low: int) -> LaurentPoly:
+    """The polynomial whose packed form at t = 2^k, counted from t^low, is value.
+
+    Its coefficients are the balanced base-2^k digits of value, lowest
+    first, each in [-2^(k-1), 2^(k-1)).  These are the packed coefficients
+    whenever every coefficient c has |c| < 2^(k-1): the lowest is then the
+    one residue of value modulo 2^k in that range, and value minus it,
+    divided by 2^k, packs the remaining terms.  A coefficient bound B meets
+    this with k >= bit_length(B) + 1, since |c| <= B < 2^bit_length(B).
+
+    Both end digits are nonzero, so the value is built untrimmed.  A digit
+    is 0 exactly when 2^k divides what is left, so the zero digits at the
+    bottom are floor(z / k) for the z trailing zero bits of value; one shift
+    skips them, and the next digit is nonzero.  A zero digit leaves
+    value >> k, which is nonzero when value is, so the last digit is nonzero
+    too.  The loop ends for k >= 2, or for value 0, which gives the one
+    shared zero: at k = 1 every nonzero value carries a 1 on for ever, so a
+    width that narrow raises ValueError instead.
     """
-    if k < 2 and value:
+    if not value:
+        return _ZERO
+    if k < 2:
         raise ValueError(f"balanced digits need a width of 2 bits or more, got {k}")
+    skip = ((value & -value).bit_length() - 1) // k
+    value >>= k * skip
     base = 1 << k
     mask, half = base - 1, base >> 1
     digits = []
@@ -220,15 +235,9 @@ def balanced_digits(value: int, k: int) -> list[int]:
             d -= base
             value += 1
         digits.append(d)
-    return digits
-
-
-def unpack(value: int, k: int, low: int) -> LaurentPoly:
-    """The polynomial whose packed form at t = 2^k, counted from t^low, is value.
-
-    Its coefficients are the balanced digits of value (see balanced_digits).
-    """
-    return LaurentPoly.from_digits(low, balanced_digits(value, k))
+    p = object.__new__(LaurentPoly)
+    p.low, p.coeffs = low + skip, tuple(digits)
+    return p
 
 
 def divide_by_strand_sum(det: LaurentPoly, n: int, bound: int) -> LaurentPoly:
@@ -282,13 +291,15 @@ def int_determinant(rows: list[list[int]]) -> int:
 
     Pivot order.  Step k of Bareiss's elimination leaves in place of entry
     (i, j) the minor of the leading k + 1 rows and columns with row i and
-    column j added, so most updates run while only the first rows and
-    columns have been taken in.  Rows, and then columns, are taken in
-    ascending order of the total bit length of their entries, which keeps
-    those minors short; the permutations change the determinant by their
-    signs only.  Over the 181 seven-row Alexander matrices of the seed-0
-    words benchmark, this took the elimination from 73.5 ms to 53.2 ms (best
-    of five; Python 3.11, shared 2-core x86-64 host).
+    column j added, so most updates run while only the first rows have been
+    taken in.  Rows are taken in ascending order of the total bit length of
+    their entries, which keeps those minors short; the permutation changes
+    the determinant by its sign only.  Sorting the columns as well no longer
+    pays at the widths determinant picks: over the 3093 Alexander matrices
+    of a p <= 11 sweep, rows and columns sorted took 0.309 s and rows only
+    0.246 s, and over the about 1000 of the seed-0 and seed-1 words
+    benchmarks 0.093 s and 0.094 s against 0.093 s and 0.096 s (best of
+    five; Python 3.11, shared 2-core x86-64 host).
 
     The empty matrix has determinant 1: it is the Alexander matrix of a
     1-strand braid, whose reduced Burau representation has dimension 0.
@@ -296,11 +307,9 @@ def int_determinant(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    row_order = sorted(range(n), key=lambda i: sum(map(int.bit_length, rows[i])))
-    col_bits = [sum(map(int.bit_length, col)) for col in zip(*rows)]
-    col_order = sorted(range(n), key=col_bits.__getitem__)
-    a = [[rows[i][j] for j in col_order] for i in row_order]
-    sign = _sign(row_order) * _sign(col_order)
+    order = sorted(range(n), key=lambda i: sum(map(int.bit_length, rows[i])))
+    a = [list(rows[i]) for i in order]
+    sign = _sign(order)
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -314,28 +323,13 @@ def int_determinant(rows: list[list[int]]) -> int:
             aik = a[i][k]
             for j in range(k + 1, n):
                 a[i][j] = (pivot * a[i][j] - aik * a[k][j]) // prev
-            a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
 
 
-def digits_of(value: int, k: int) -> tuple[int, list[int]] | None:
-    """(lowest exponent, balanced digits from it up) of a polynomial packed at t = 2^k.
+def determinant(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[LaurentPoly, int]:
+    """(det, bound): the determinant of a square LaurentPoly matrix, by one integer determinant.
 
-    value packs it from t^0 up, every |coefficient| < 2^(k-1), so its lowest
-    term c_e 2^(k e) has fewer than k trailing zero bits beyond k e, which
-    gives e.  None stands for 0.
-    """
-    if not value:
-        return None
-    low = ((value & -value).bit_length() - 1) // k
-    return low, balanced_digits(value >> k * low, k)
-
-
-def determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[LaurentPoly, int]:
-    """(det, bound): the determinant of a polynomial matrix, by one integer determinant.
-
-    Entry (i, j) is (lowest exponent, coefficients from it up) or None for 0.
     bound is at least |c| for every coefficient c of det.  Each row, then
     each column, is shifted by a power of t to lowest exponent 0, which
     divides the determinant by t^low, then packed at t = 2^k for
@@ -355,18 +349,18 @@ def determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[Laurent
     min(R, C) too.  The shifts multiply entries and det by powers of t, of
     modulus 1 on the circle, so they change none of this.  Every coefficient
     then has |c| <= bound < 2^(k-1) for k = bit_length(bound) + 1, which
-    recovers it (balanced_digits).  A bound of 0 (a zero row or column)
-    gives det = 0, and the empty matrix (R = C = 1) gives det = 1.  C is
-    the smaller product on some matrices, and it is 0 on a zero column,
-    which has no lowest exponent to shift by.
+    recovers it (unpack).  A bound of 0 (a zero row or column) gives
+    det = 0, and the empty matrix (R = C = 1) gives det = 1.  C is the
+    smaller product on some matrices, and it is 0 on a zero column, which
+    has no lowest exponent to shift by.
     """
-    squares = [[sum(map(abs, e[1])) ** 2 if e else 0 for e in row] for row in rows]
+    squares = [[sum(map(abs, e.coeffs)) ** 2 if e.coeffs else 0 for e in row] for row in rows]
     bound = isqrt(min(prod(map(sum, squares)), prod(map(sum, zip(*squares)))))
     if not bound:
-        return LaurentPoly.zero(), 0
-    row_lows = [min(e[0] for e in row if e) for row in rows]
+        return _ZERO, 0
+    row_lows = [min(e.low for e in row if e.coeffs) for row in rows]
     col_lows = [
-        min(row[j][0] - low for row, low in zip(rows, row_lows) if row[j])
+        min(row[j].low - low for row, low in zip(rows, row_lows) if row[j].coeffs)
         for j in range(len(rows))
     ]
     k = bound.bit_length() + 1
@@ -375,11 +369,10 @@ def determinant(rows: list[list[tuple[int, list[int]] | None]]) -> tuple[Laurent
         out = []
         for entry, col_low in zip(row, col_lows):
             value = 0
-            if entry:
-                low, digits = entry
-                for d in reversed(digits):
+            if entry.coeffs:
+                for d in reversed(entry.coeffs):
                     value = (value << k) + d
-                value <<= k * (low - row_low - col_low)
+                value <<= k * (entry.low - row_low - col_low)
             out.append(value)
         packed.append(out)
     return unpack(int_determinant(packed), k, sum(row_lows) + sum(col_lows)), bound

@@ -6,6 +6,7 @@ union-find loop counting, and for long words by a state sum bucketed by
 planar matching over dict polynomials, the torus-knot Alexander and Jones
 polynomials by exact division of their closed-form quotients, the reduced
 Burau matrix as a product of generator matrices over Laurent polynomials,
+the Alexander polynomial from a minor of the unreduced Burau matrix,
 determinants by Leibniz expansion, Hadamard's products by plain loops,
 polynomial division by the schoolbook method on dense coefficient lists,
 values at a point as exact fractions, the digit widths of the Alexander
@@ -286,6 +287,47 @@ def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total + scaled(term, -1 if inversions % 2 else 1)
     return total
+
+
+def unreduced_burau(w: BraidWord) -> PolyMatrix:
+    """The n x n unreduced Burau matrix B(w), a product of generator matrices.
+
+    sigma_i is I + [[1 - t, t], [1, 0]] + I and sigma_i^-1 is
+    I + [[0, 1], [t^-1, 1 - t^-1]] + I, the 2 x 2 block in rows and columns
+    i and i + 1 (Birman's convention), multiplied left to right: a right
+    factor mixes columns i and i + 1 of the product by its block.
+    """
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    rows = [list(row) for row in identity_matrix(w.strands).entries]
+    for letter in w.letters:
+        a = abs(letter) - 1
+        t = t_power(1 if letter > 0 else -1)
+        (p, q), (r, s) = ((one - t, t), (one, zero)) if letter > 0 else ((zero, one), (t, one - t))
+        for row in rows:
+            x, y = row[a], row[a + 1]
+            row[a], row[a + 1] = x * p + y * r, x * q + y * s
+    return PolyMatrix.from_rows(rows)
+
+
+def alexander_by_minor(w: BraidWord) -> LaurentPoly:
+    """Unit-normalized Alexander polynomial from the unreduced Burau matrix.
+
+    The identity (J. Birman, Braids, Links, and Mapping Class Groups, Ann. of
+    Math. Studies 82, 1974, ch. 3): for a braid w on n strands, the Alexander
+    polynomial of its closure equals, up to a unit +-t^e, the determinant of
+    the leading (n - 1) x (n - 1) minor of I - B(w), B the unreduced Burau
+    matrix (unreduced_burau).  I - B(w) is the Fox Jacobian, every generator
+    sent to t, of the link group presentation <x_1, ..., x_n | x_i = w(x_i)>
+    from Artin's action; one relation follows from the others, and deleting
+    its row and one column leaves the minor.  It is 0 for a split closure,
+    and the empty minor of one strand gives 1.  No division by [n]_t, no
+    Schur step for full twists and no digit width: every letter, twists
+    included, is a generator matrix, and the minor is expanded by Leibniz.
+    """
+    m = w.strands - 1
+    minus = matsub(identity_matrix(w.strands), unreduced_burau(w))
+    det = leibniz_determinant(PolyMatrix.from_rows(row[:m] for row in minus.entries[:m]))
+    return det.unit_normalized() if det else det
 
 
 def hadamard_products(a: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -666,14 +708,9 @@ def reduced_burau(w: BraidWord) -> PolyMatrix:
     return PolyMatrix.from_rows([unpack(col[r], k, -neg) for col in cols] for r in range(m))
 
 
-def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
-    """(lowest exponent, every coefficient from it up to the highest) of a nonzero p."""
-    return p.low, list(p.coeffs)
-
-
 def determinant(m: PolyMatrix) -> LaurentPoly:
     """Exact determinant, as one packed integer determinant (laurent.determinant)."""
-    return laurent.determinant([[_dense(p) if p else None for p in row] for row in m.entries])[0]
+    return laurent.determinant(m.entries)[0]
 
 
 def whole_json_report(report: SweepReport, path: str, include_timings: bool) -> None:

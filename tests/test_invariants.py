@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     PolyMatrix,
+    alexander_by_minor,
     alexander_width,
     brute_jones,
     bucket_jones,
@@ -45,11 +46,12 @@ from tlinks.invariants import (
     bundle,
     closure,
     jones,
+    syllable_closure,
     torus_reference,
 )
 from tlinks.laurent import LaurentPoly, unpack
-from tlinks.oracle import certify
-from tlinks.tlink import FullTwistForm, absorb_strands
+from tlinks.oracle import certify, enumerate_forms
+from tlinks.tlink import FullTwistForm, absorb_strands, presentation
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 UNKNOT = BraidWord(2, (1,))
@@ -230,12 +232,14 @@ def test_burau_width_bounds_every_coefficient():
     for w in cases:
         n, m = w.strands, w.strands - 1
         j, rest = split_full_twists(w)
-        cols, k, power = _alexander_columns(BraidWord(n, rest), j)
+        cols, k = _alexander_columns(BraidWord(n, rest), j)
         if w.is_positive and j:
-            assert power == 0
             matrix = matsub(burau_product(w), identity_matrix(m))
         else:
+            # N, the larger count of inverse letters of w1 and of w2^-1, whose
+            # inverse letters are the positive letters of w2
             h = len(rest) // 2
+            power = max(sum(x < 0 for x in rest[:h]), sum(x > 0 for x in rest[h:]))
             matrix = split_matrix(n, j, rest[:h], rest[h:], power)
         for r in range(m):
             for c in range(m):
@@ -259,16 +263,17 @@ def test_burau_width_is_pinned():
             cases.append(BraidWord(n, letters))
     for rest in cases:
         for twists in (0, 1, 3):
-            _, k, _ = _alexander_columns(rest, twists)
+            _, k = _alexander_columns(rest, twists)
             assert k == alexander_width(rest, twists), (rest, twists)
 
 
 def test_state_sum_width_is_pinned(monkeypatch):
     # the Kauffman state sum of each piece is unpacked at K = c + n + 1, the
     # width of its bound B = 2^(c+n-1) (_oracles.state_sum_width), read off
-    # the one unpack each state sum makes.  The bound is not tight: at two
-    # bits less, every Jones value of the suite is still right, so only this
-    # pin catches a narrower K
+    # the one unpack each state sum makes; the closure is lazy, so only Jones
+    # is computed (alexander unpacks through the same name).  The bound is
+    # not tight: at two bits less, every Jones value of the suite is still
+    # right, so only this pin catches a narrower K
     widths = []
 
     def recording(packed, k, low):
@@ -283,7 +288,7 @@ def test_state_sum_width_is_pinned(monkeypatch):
             letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
             w = BraidWord(n, letters)
             widths.clear()
-            c = bundle(w, guard=100)
+            c = closure(w, guard=100)
             assert c.jones == bucket_jones(w)
             assert widths == [state_sum_width(p) for p in c.pieces if p.letters], w
 
@@ -303,6 +308,30 @@ def test_alexander_matches_leibniz_oracle():
     cases.append(BraidWord(1, ()))
     for w in cases:
         assert alexander(w) == leibniz_alexander(w)
+
+
+def test_alexander_matches_unreduced_burau_minor():
+    # an oracle that shares no step with alexander: the leading minor of
+    # I - B(w), B the unreduced Burau matrix, every letter written out, no
+    # [n]_t division, no Schur step and no digit width
+    # (_oracles.alexander_by_minor); on the written-out word of each sweep
+    # row of p <= 6 against the row's own closure, and on seeded signed words
+    assert alexander_by_minor(TREFOIL) == LaurentPoly({0: 1, 1: -1, 2: 1})
+    assert alexander_by_minor(BraidWord(3, (1, -2, 1, -2))) == LaurentPoly({0: 1, 1: -3, 2: 1})
+    assert alexander_by_minor(BraidWord(3, (1, -1))) == LaurentPoly.zero()
+    assert alexander_by_minor(BraidWord(1, ())) == LaurentPoly.one()
+    forms = list(enumerate_forms(6))
+    assert len(forms) == 100
+    for form in forms:
+        p = presentation(form)
+        row = syllable_closure(p, invariants.DEFAULT_JONES_GUARD)
+        assert alexander_by_minor(p.word()) == row.alexander, form
+    rng = random.Random(20261022)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        length = rng.randint(0, 30)
+        w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
+        assert alexander_by_minor(w) == closure(w).alexander, w
 
 
 def leibniz_alexander(w):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from _oracles import (
     PolyMatrix,
-    _dense,
     determinant,
     divide_exact,
     evaluate,
@@ -167,6 +166,20 @@ def test_one_bit_digits_raise():
         unpack(1, 1, 0)
 
 
+@settings(max_examples=150)
+@given(small_polys, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_unpack_reads_back_what_was_packed(p, extra, pad):
+    # packed at any width that holds every coefficient, with pad zero places
+    # below, the value comes back equal, so with both end coefficients
+    # nonzero though unpack trims nothing; every zero is the one shared zero
+    k = max(map(abs, p.coeffs), default=1).bit_length() + 1 + extra
+    value = sum(c << k * (i + pad) for i, c in enumerate(p.coeffs))
+    q = unpack(value, k, p.low - pad)
+    assert q == p
+    if not p:
+        assert q is unpack(0, k, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(
@@ -192,13 +205,8 @@ def test_divide_by_strand_sum_at_slack_one(q, n):
                     divide_by_strand_sum(T(s) * det + P({e: step}), n, bound)
 
 
-def _rows(m):
-    """The entries of m as laurent.determinant reads them."""
-    return [[_dense(p) if p else None for p in row] for row in m.entries]
-
-
 def _norms(rows):
-    return [[sum(map(abs, e[1])) if e else 0 for e in row] for row in rows]
+    return [[sum(map(abs, e.coeffs)) for e in row] for row in rows]
 
 
 square_entries = st.integers(min_value=1, max_value=5).flatmap(
@@ -215,9 +223,8 @@ def test_determinant_bound_is_hadamards(entries):
     # their squares is at most that product
     m = round(len(entries) ** 0.5)
     matrix = PolyMatrix.from_rows([entries[i * m : (i + 1) * m] for i in range(m)])
-    rows = _rows(matrix)
-    det, bound = laurent.determinant(rows)
-    products = hadamard_products(_norms(rows))
+    det, bound = laurent.determinant(matrix.entries)
+    products = hadamard_products(_norms(matrix.entries))
     assert bound == isqrt(min(products))
     exact = leibniz_determinant(matrix)
     assert det == exact
@@ -226,7 +233,8 @@ def test_determinant_bound_is_hadamards(entries):
 
 
 def _random_entry(rng):
-    return rng.randint(-3, 3), [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))]
+    digits = [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))]
+    return LaurentPoly.from_digits(rng.randint(-3, 3), digits)
 
 
 def test_wide_determinant_bound():
@@ -237,7 +245,7 @@ def test_wide_determinant_bound():
     for m in range(11, 14):
         rows = [[_random_entry(rng) for _ in range(m)] for _ in range(m)]
         for i in range(m):
-            rows[i][rng.randrange(m)] = None
+            rows[i][rng.randrange(m)] = ZERO
         norms = _norms(rows)
         bound = laurent.determinant(rows)[1]
         assert bound == isqrt(min(hadamard_products(norms)))
@@ -247,9 +255,9 @@ def test_wide_determinant_bound():
 def test_determinant_bound_of_zero_and_empty():
     # a zero row or a zero column makes a product 0: det = 0 at bound 0,
     # before a zero column's lowest exponent is sought; no rows give 1
-    entry = (-1, [2, 0, -3])
-    assert laurent.determinant([[entry, entry], [None, None]]) == (ZERO, 0)
-    assert laurent.determinant([[entry, None], [entry, None]]) == (ZERO, 0)
+    entry = P({-1: 2, 1: -3})
+    assert laurent.determinant([[entry, entry], [ZERO, ZERO]]) == (ZERO, 0)
+    assert laurent.determinant([[entry, ZERO], [entry, ZERO]]) == (ZERO, 0)
     assert laurent.determinant([]) == (ONE, 1)
 
 
@@ -258,10 +266,10 @@ def test_dense_determinant_returns_at_once():
     # isqrt((4 m)^m), at m = 30 exactly 120^15, and det = 0 (rank 1); the
     # bound takes m^2 steps, so the largest Alexander matrix, of
     # MAX_STRANDS - 1 rows, returns at once too
-    rows = [[(0, [1, 1])] * 30 for _ in range(30)]
+    rows = [[P({0: 1, 1: 1})] * 30 for _ in range(30)]
     assert laurent.determinant(rows) == (ZERO, 120**15)
     m = MAX_STRANDS - 1
-    rows = [[(0, [1, 1])] * m for _ in range(m)]
+    rows = [[P({0: 1, 1: 1})] * m for _ in range(m)]
     assert laurent.determinant(rows) == (ZERO, isqrt((4 * m) ** m))
 
 

@@ -58,7 +58,9 @@ REMOVED = {
     "garside": ["delta_word"],
     "garside.NormalForm": ["__str__"],
     "invariants": ["InvariantBundle", "euler_char"],
-    "laurent": ["_PERMANENT_MAX", "_permanent", "packed_determinant"],
+    "laurent": [
+        "_PERMANENT_MAX", "_permanent", "balanced_digits", "digits_of", "packed_determinant",
+    ],
     "laurent.LaurentPoly": ["is_zero", "min_exp", "t", "term"],
     "oracle": ["candidate_torus_params"],
     "tlink": ["standard_braid"],
