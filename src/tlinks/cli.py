@@ -41,6 +41,7 @@ from .invariants import DEFAULT_JONES_GUARD, Closure, closure, syllable_closure
 from .laurent import InexactDivisionError, poly_text
 from .oracle import Certificate, SweepReport, SweepRow, certify_bundle, sweep_params, sweep_rows
 from .tlink import (
+    FullTwistForm,
     TLinkParseError,
     TLinkSpec,
     absorb_strands,
@@ -88,8 +89,7 @@ def _input_closure(text: str, guard: int) -> Closure:
     """
     stripped = text.strip()
     if stripped.startswith("T"):
-        spec, form = reduce_tlink(parse_tlink(stripped))
-        _check_spec(spec)
+        spec, form = _read_tlink(stripped)
         return syllable_closure(presentation(form) if form else standard_presentation(spec), guard)
     if stripped.startswith("n="):
         w = parse_braid_text(stripped)
@@ -100,8 +100,11 @@ def _input_closure(text: str, guard: int) -> Closure:
     )
 
 
-def _check_spec(spec: TLinkSpec) -> None:
+def _read_tlink(text: str) -> tuple[TLinkSpec, FullTwistForm | None]:
+    """reduce_tlink of the parsed text, rejected if the reduced spec has too many strands or letters."""
+    spec, form = reduce_tlink(parse_tlink(text))
     _check_size(spec.strands, sum((r - 1) * s for r, s in spec.pairs))
+    return spec, form
 
 
 def _check_size(strands: int, letters: int) -> None:
@@ -112,16 +115,12 @@ def _check_size(strands: int, letters: int) -> None:
 
 
 def _print_bundle(b: Closure) -> None:
-    print(f"components:  {b.components}")
-    print(f"letters:     {b.letters}")
-    print(f"euler char:  {b.euler_char if b.euler_char is not None else 'n/a (negative letters)'}")
-    why = "no full twist found" if b.rest.is_positive else "negative letters"
-    print(f"braid index: {b.braid_index if b.braid_index is not None else f'n/a ({why})'}")
-    print(f"alexander:   {poly_text(b.alexander)}")
-    if b.jones is not None:
-        print(f"jones:       {poly_text(b.jones, quarter_exponents=True)}")
-    else:
-        print("jones:       n/a (crossing guard exceeded)")
+    """The fields of _bundle_dict(b) under their console labels; an absent value says why."""
+    why = {"eulerChar": "negative letters", "jones": "crossing guard exceeded"}
+    why["braidIndex"] = "no full twist found" if b.rest.is_positive else "negative letters"
+    for field, value in _bundle_dict(b).items():
+        label = "".join(f" {c.lower()}" if c.isupper() else c for c in field)  # eulerChar reads euler char
+        print(f"{label + ':':13}{value if value is not None else f'n/a ({why[field]})'}")
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -130,8 +129,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    spec, form = reduce_tlink(parse_tlink(args.input))
-    _check_spec(spec)
+    spec, form = _read_tlink(args.input)
     if form is None:
         raise _UsageError(f"{spec} is not of full-twist form over a torus base")
     steps = absorb_strands(form)
@@ -142,8 +140,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    spec = parse_tlink(args.input)
-    print(classify_spec(spec))
+    print(classify_spec(parse_tlink(args.input)))
     return EXIT_OK
 
 
@@ -183,43 +180,27 @@ def report_row(r: SweepRow, include_timings: bool) -> dict[str, Any]:
     }
 
 
-_CSV_FIELDS = [
-    "input",
-    "pairs",
-    "verdict_kind",
-    "verdict_rule",
-    "certificate_kind",
-    "candidates",
-    "guard_hit",
-    "components",
-    "letters",
-    "euler_char",
-    "braid_index",
-    "alexander",
-    "jones",
-    "timing_ms",
-]
-
-
-def _csv_cells(row: dict[str, Any]) -> list[Any]:
-    """A report_row flattened into _CSV_FIELDS; None is an empty cell."""
-    verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
-    return [
-        row["input"],
-        ";".join(f"{a},{s}" for a, s in row["pairs"]),
-        verdict["kind"],
-        verdict["rule"],
-        cert["kind"],
-        "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in cert["candidates"]),
-        int(cert["guardHit"]),
-        inv["components"],
-        inv["letters"],
-        inv["eulerChar"],
-        inv["braidIndex"],
-        inv["alexander"],
-        inv["jones"],
-        row["timingMs"],
-    ]
+# each CSV column: its name, and its cell read from a report_row dict; None is an empty cell
+_CSV_COLUMNS = (
+    ("input", lambda row: row["input"]),
+    ("pairs", lambda row: ";".join(f"{a},{s}" for a, s in row["pairs"])),
+    ("verdict_kind", lambda row: row["verdict"]["kind"]),
+    ("verdict_rule", lambda row: row["verdict"]["rule"]),
+    ("certificate_kind", lambda row: row["certificate"]["kind"]),
+    (
+        "candidates",
+        lambda row: "|".join(f"{c['p']}:{c['q']}:{c['reason']}" for c in row["certificate"]["candidates"]),
+    ),
+    ("guard_hit", lambda row: int(row["certificate"]["guardHit"])),
+    ("components", lambda row: row["invariants"]["components"]),
+    ("letters", lambda row: row["invariants"]["letters"]),
+    ("euler_char", lambda row: row["invariants"]["eulerChar"]),
+    ("braid_index", lambda row: row["invariants"]["braidIndex"]),
+    ("alexander", lambda row: row["invariants"]["alexander"]),
+    ("jones", lambda row: row["invariants"]["jones"]),
+    ("timing_ms", lambda row: row["timingMs"]),
+)
+_CSV_FIELDS = [name for name, _ in _CSV_COLUMNS]
 
 
 @contextmanager
@@ -231,13 +212,16 @@ def _replacing(path: str, newline: str | None) -> Iterator[TextIO]:
     is removed and any file at path is left as it was.  Mode "x" creates the
     file, never opens one that exists, and, as a plain open does, gives it
     the mode 0o666 less the umask; and a symlink at path is written through.
-    A temporary file that cannot be created (its directory is missing, not
-    writable or not a directory) is a usage error naming path, raised before
+    A directory at path, which the temporary file could never replace, and a
+    temporary file that cannot be created (its directory is missing, not
+    writable or not a directory) are a usage error naming path, raised before
     the block runs.
     """
     real = os.path.realpath(path)
     tmp = f"{real}.{os.urandom(8).hex()}.tmp"
     try:
+        if os.path.isdir(real):
+            raise IsADirectoryError(real)
         fh = open(tmp, "x", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise _UsageError(f"cannot write a report to {path}") from exc
@@ -269,8 +253,10 @@ def write_reports(
     those of json.dump(doc, indent=2) plus a newline, for the document
     {"params", "rows", "disagreements"}: the header, then each row dumped on
     its own and indented to its depth, then the running count of
-    contradictions.  Each report takes its path only after the last row
-    (_replacing).  With neither path, the rows are drained unrendered.
+    contradictions.  Both reports are opened before the first row is read,
+    so a path that cannot be written fails before any work, and each takes
+    its path only after the last row (_replacing).  With neither path, the
+    rows are drained unrendered.
     """
     with ExitStack() as stack:
         js = stack.enter_context(_replacing(json_path, None)) if json_path else None
@@ -289,7 +275,7 @@ def write_reports(
             if js is not None:
                 js.write((",\n    " if count else "\n    ") + _json_indented(row, "    "))
             if table is not None:
-                table.writerow(_csv_cells(row))
+                table.writerow([cell(row) for _, cell in _CSV_COLUMNS])
             count += 1
         if js is not None:
             js.write(("\n  ]" if count else "]") + f',\n  "disagreements": {disagreements}\n}}\n')
@@ -304,14 +290,9 @@ def write_csv_report(report: SweepReport, path: str, include_timings: bool) -> N
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # a report path that cannot be written fails before the first row: a
-    # directory here, whose temporary file would open but never replace it,
-    # and any other when write_reports opens its temporary file (_replacing)
-    paths = [path for path in (args.out, args.csv) if path]
-    for path in paths:
-        if os.path.isdir(path):
-            raise _UsageError(f"cannot write a report to {path}")
-    if len(paths) == 2 and os.path.realpath(args.out) == os.path.realpath(args.csv):
+    # a report path that cannot be written fails when write_reports opens it,
+    # before the first row (_replacing); one file for both reports fails here
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
         raise _UsageError(f"--out and --csv name the same file {args.out}")
     verdicts: Counter[str] = Counter()
     certificates: Counter[str] = Counter()
@@ -359,23 +340,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="max crossings for Kauffman bracket evaluation (default %(default)s)",
         )
 
-    p_inv = sub.add_parser("invariants", help="invariant bundle of a T-link or braid word")
-    p_inv.add_argument("input")
-    add_guard(p_inv)
-    p_inv.set_defaults(func=_cmd_invariants)
-
-    p_rw = sub.add_parser("rewrite", help="strand-absorption trace of a full-twist T-link")
-    p_rw.add_argument("input")
-    p_rw.set_defaults(func=_cmd_rewrite)
-
-    p_cl = sub.add_parser("classify", help="torus-link classifier verdict")
-    p_cl.add_argument("input")
-    p_cl.set_defaults(func=_cmd_classify)
-
-    p_ce = sub.add_parser("certify", help="torus-link elimination certificate")
-    p_ce.add_argument("input")
-    add_guard(p_ce)
-    p_ce.set_defaults(func=_cmd_certify)
+    for name, help_text, handler, guarded in (
+        ("invariants", "invariant bundle of a T-link or braid word", _cmd_invariants, True),
+        ("rewrite", "strand-absorption trace of a full-twist T-link", _cmd_rewrite, False),
+        ("classify", "torus-link classifier verdict", _cmd_classify, False),
+        ("certify", "torus-link elimination certificate", _cmd_certify, True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input")
+        if guarded:
+            add_guard(p)
+        p.set_defaults(func=handler)
 
     p_sw = sub.add_parser("sweep", help="classifier-versus-oracle cross validation")
     p_sw.add_argument("--max-p", type=int, required=True)

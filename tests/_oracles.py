@@ -12,12 +12,13 @@ polynomial division by the schoolbook method on dense coefficient lists,
 values at a point as exact fractions, the digit widths of the Alexander
 columns and of the Kauffman state sum from their own bounds, the strand
 permutation by following each strand down the word, the steps of the strand
-absorption letter by letter from their formula, the Garside normal form by
-left-weighting every adjacent pair until nothing changes, braid-word
-equivalence by closing the word under commutation and braid relations,
-torus candidate parameters by direct integer enumeration, and sweep reports
-by one json.dump of the whole document and a CSV table flattened from the
-list of every row's dict.
+absorption letter by letter from their formula, a T-link's Birman-Kofman
+dual spec from its formula, the Garside normal form by left-weighting every
+adjacent pair until nothing changes, braid-word equivalence by closing the
+word under commutation and braid relations, torus candidate parameters by
+direct integer enumeration, and sweep reports by one json.dump of the whole
+document and a CSV table flattened from the list of every row's dict under a
+header written out here.
 
 The module also holds test helpers that are not oracles: the polynomial
 matrix type the oracles compute with, small polynomial and permutation-braid
@@ -42,7 +43,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from tlinks.braid import BraidWord, Presentation
-from tlinks.cli import _CSV_FIELDS, report_row
+from tlinks.cli import report_row
 from tlinks.garside import NormalForm
 from tlinks.invariants import _column_bound, _packed_columns
 from tlinks import laurent
@@ -261,19 +262,21 @@ def burau_product(w: BraidWord) -> PolyMatrix:
 
     The matrix of sigma_i is the identity except in column c = i - 1, which
     holds (t, -t, 1) for sigma_i and (1, -t^-1, t^-1) for its inverse in rows
-    c-1, c and c+1, clipped to the (n-1)x(n-1) matrix."""
+    c-1, c and c+1, clipped to the (n-1)x(n-1) matrix.  So each right factor
+    leaves every column of the product but c as it is, and column c of each
+    row becomes the sum of that row's entries in columns c-1, c and c+1 times
+    the generator's column entries in rows c-1, c and c+1.
+    """
     m = w.strands - 1
-    out = identity_matrix(m)
+    rows = [list(row) for row in identity_matrix(m).entries]
     for letter in w.letters:
         c = abs(letter) - 1
         t = t_power(1 if letter > 0 else -1)
         column = (t, -t, LaurentPoly.one()) if letter > 0 else (LaurentPoly.one(), -t, t)
-        rows = [list(row) for row in identity_matrix(m).entries]
-        for r, entry in zip((c - 1, c, c + 1), column):
-            if 0 <= r < m:
-                rows[r][c] = entry
-        out = matmul(out, PolyMatrix.from_rows(rows))
-    return out
+        entries = [(r, x) for r, x in zip((c - 1, c, c + 1), column) if 0 <= r < m]
+        for row in rows:
+            row[c] = sum((row[r] * x for r, x in entries), LaurentPoly.zero())
+    return PolyMatrix.from_rows(rows)
 
 
 def leibniz_determinant(m: PolyMatrix) -> LaurentPoly:
@@ -459,6 +462,27 @@ def permutation_inverse(images: Sequence[int]) -> tuple[int, ...]:
 
 
 # -- braid words only the tests build, and their letter counts ----------------
+
+
+def dual_spec(spec: TLinkSpec) -> TLinkSpec:
+    """The Birman-Kofman dual of a T-link: the same link on s_1 + ... + s_k strands.
+
+    J. Birman and I. Kofman, "A new twist on Lorenz links", J. Topology 2,
+    2009: T((r_1,s_1),...,(r_k,s_k)) is the link
+
+        T((s_k, r_k - r_(k-1)), (s_k + s_(k-1), r_(k-1) - r_(k-2)), ..., (s_k + ... + s_1, r_1))
+
+    with r_0 = 0.  A pair whose first entry is 1 is an empty syllable and is
+    dropped; only the first can be, when s_k = 1.  The unknot T((r,1)) keeps
+    no pair, and TLinkSpec rejects its dual.
+    """
+    r_values = [0] + [r for r, _ in spec.pairs]
+    pairs, strands = [], 0
+    for i in range(len(spec.pairs), 0, -1):
+        strands += spec.pairs[i - 1][1]
+        if strands > 1:
+            pairs.append((strands, r_values[i] - r_values[i - 1]))
+    return TLinkSpec(tuple(pairs))
 
 
 def torus_braid(p: int, q: int) -> BraidWord:
@@ -725,11 +749,30 @@ def whole_json_report(report: SweepReport, path: str, include_timings: bool) -> 
         fh.write("\n")
 
 
+# the header of the CSV sweep report, written out here rather than read from cli
+CSV_HEADER = [
+    "input",
+    "pairs",
+    "verdict_kind",
+    "verdict_rule",
+    "certificate_kind",
+    "candidates",
+    "guard_hit",
+    "components",
+    "letters",
+    "euler_char",
+    "braid_index",
+    "alexander",
+    "jones",
+    "timing_ms",
+]
+
+
 def whole_csv_report(report: SweepReport, path: str, include_timings: bool) -> None:
     """The CSV sweep report flattened from the list of every row's dict; None is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+        writer.writerow(CSV_HEADER)
         for row in [report_row(r, include_timings) for r in report.rows]:
             verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
             writer.writerow(

@@ -5,7 +5,7 @@ import stat
 import weakref
 
 import pytest
-from _oracles import standard_braid, whole_csv_report, whole_json_report
+from _oracles import CSV_HEADER, standard_braid, whole_csv_report, whole_json_report
 
 from tlinks import cli, invariants, oracle
 from tlinks.braid import braid_text
@@ -300,7 +300,7 @@ def test_sweep_writes_deterministic_reports(tmp_path, capsys):
 
 
 def _flatten(row):
-    """A JSON report row as CSV cells, in the order of _CSV_FIELDS."""
+    """A JSON report row as CSV cells, in the order of CSV_HEADER."""
     verdict, cert, inv = row["verdict"], row["certificate"], row["invariants"]
     cells = {
         "input": row["input"],
@@ -318,7 +318,7 @@ def _flatten(row):
         "jones": inv["jones"],
         "timing_ms": row["timingMs"],
     }
-    return ["" if cells[f] is None else str(cells[f]) for f in _CSV_FIELDS]
+    return ["" if cells[f] is None else str(cells[f]) for f in CSV_HEADER]
 
 
 @pytest.mark.parametrize("timings", [(), ("--timings",)])
@@ -329,7 +329,7 @@ def test_csv_rows_flatten_json_rows(tmp_path, capsys, timings):
     rows = json.loads(out.read_text())["rows"]
     with open(table, newline="", encoding="utf-8") as fh:
         header, *cells = csv.reader(fh)
-    assert header == _CSV_FIELDS
+    assert header == CSV_HEADER == _CSV_FIELDS
     assert len(rows) > 1
     assert cells == [_flatten(r) for r in rows]
 
@@ -505,6 +505,29 @@ def test_exit_codes_are_reserved():
     assert EXIT_CONTRADICTION == 2
 
 
+def test_help_lists_each_command_with_its_arguments(capsys, monkeypatch):
+    # the top-level help lists the five commands in this order, each with its
+    # help string; every command but sweep reads one input, and invariants,
+    # certify and sweep take --jones-guard.  Lines, not bytes: argparse lays
+    # out help text differently from one Python version to the next
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command
+    commands = [
+        ("invariants", "invariant bundle of a T-link or braid word"),
+        ("rewrite", "strand-absorption trace of a full-twist T-link"),
+        ("classify", "torus-link classifier verdict"),
+        ("certify", "torus-link elimination certificate"),
+        ("sweep", "classifier-versus-oracle cross validation"),
+    ]
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")] == [
+        list(command) for command in commands
+    ]
+    for name, _ in commands:
+        code, out, err = run(capsys, name, "--help")
+        assert (code, err) == (EXIT_OK, ""), name
+        assert ("input" in [line.strip() for line in out.splitlines()]) == (name != "sweep"), name
+        assert ("--jones-guard" in out) == (name in ("invariants", "certify", "sweep")), name
 
 
 def test_out_of_range_counts_rejected_before_work(capsys):

@@ -1,12 +1,13 @@
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import absorbed_braid, destabilized, standard_braid
+from _oracles import absorbed_braid, destabilized, dual_spec, standard_braid
 from tlinks.braid import BraidWord, split_full_twists
-from tlinks.invariants import alexander, closure, syllable_closure
+from tlinks.invariants import DEFAULT_JONES_GUARD, alexander, closure, syllable_closure
 from tlinks.oracle import enumerate_forms
 from tlinks.tlink import (
     FullTwistForm,
@@ -241,6 +242,47 @@ def test_small_traces_and_flips_preserve_jones():
             assert jones(original, guard=30) == jones(flipped, guard=30), form
             checked += 1
     assert checked >= 30
+
+
+def test_presentation_closes_to_the_birman_kofman_dual():
+    # presentation(form) and the standard braid of the dual spec, two routes
+    # from a T-link to a braid that share no step, close to one link: equal
+    # components, Euler characteristic and Alexander polynomial, and equal
+    # Jones polynomial where both words are within the default guard
+    forms = list(enumerate_forms(7))
+    assert len(forms) == 260
+    with_jones = 0
+    for form in forms:
+        ours = syllable_closure(presentation(form), DEFAULT_JONES_GUARD)
+        dual = syllable_closure(standard_presentation(dual_spec(form.spec())), DEFAULT_JONES_GUARD)
+        assert ours.components == dual.components, form
+        assert ours.euler_char == dual.euler_char, form
+        assert ours.alexander == dual.alexander, form
+        if not (ours.jones_guarded or dual.jones_guarded):
+            assert ours.jones == dual.jones, form
+            with_jones += 1
+    assert with_jones == 22
+
+
+def test_dual_of_the_dual_is_the_markov_reduced_spec():
+    # T((p,q)) and T((q,p)) are duals; a dual drops the pair (1, r_k - r_(k-1))
+    # when s_k = 1, so the dual of the dual is the spec after markov_reduce
+    for p in range(2, 12):
+        for q in range(2, 12):
+            assert dual_spec(TLinkSpec(((p, q),))) == TLinkSpec(((q, p),))
+    with pytest.raises(ValueError, match="at least one pair"):
+        dual_spec(TLinkSpec(((5, 1),)))  # the unknot keeps no pair
+    rng = random.Random(0)
+    outcomes = {"equal": 0, "after markov_reduce": 0}
+    for _ in range(2000):
+        r_values = sorted(rng.sample(range(2, 12), rng.randint(1, 4)))
+        spec = TLinkSpec(tuple((r, rng.randint(1, 5)) for r in r_values))
+        if len(spec.pairs) == 1 and spec.pairs[0][1] == 1:
+            continue  # the unknot, above
+        twice = dual_spec(dual_spec(spec))
+        assert markov_reduce(twice) == markov_reduce(spec), spec
+        outcomes["equal" if twice == spec else "after markov_reduce"] += 1
+    assert outcomes == {"equal": 1597, "after markov_reduce": 315}
 
 
 def test_markov_reduce_preserves_closure_invariants():
